@@ -323,9 +323,8 @@ class DQGate:
 
         from ..stages.util import BatchCounts
 
-        # file-backed count sink: no per-batch actor round-trip (the old
-        # CounterActor ray.get blocked every staging batch ~1 ms and
-        # serialized all writers through one actor)
+        # file-backed count sink: no per-batch actor round-trip (a
+        # blocking ray.get per staging batch, serialized through one actor)
         counter = BatchCounts(
             os.path.join(os.path.dirname(self.failure_dir), "_dq_counts", uuid.uuid4().hex)
         )

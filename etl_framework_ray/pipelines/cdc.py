@@ -1929,7 +1929,9 @@ class CDCEngine:
                         time.sleep(poll_s)
                     continue
                 idle = 0
-                listed_through = queue[-1].epoch_id
+                # segments list by min LSN, so with overlapping ranges the
+                # last epoch need not hold the newest LSN
+                listed_through = max([listed_through] + [e.epoch_id for e in queue])
                 if max_polls is not None and polls >= max_polls:
                     # honor the bound but finish what this poll listed
                     max_polls = polls
@@ -1955,7 +1957,7 @@ class CDCEngine:
                 if fresh:
                     _drain_views()
                     queue = fresh
-                    listed_through = queue[-1].epoch_id
+                    listed_through = max([listed_through] + [e.epoch_id for e in queue])
                     polls += 1
                     idle = 0
             if queue:

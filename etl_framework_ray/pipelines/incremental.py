@@ -141,54 +141,113 @@ def _prune_view_dir(dirpath: str, live: set[str], grace_s: float) -> None:
             pass  # another committer's prune won the race
 
 
-def _rollup_partial(live: pa.Table) -> pd.DataFrame:
-    """Vectorized per-chunk partial of the conversation rollup (same kernel
-    as publish.conversation_rollup's map_batches stage)."""
-    df = pd.DataFrame(
-        {
-            "conv_id": live.column("conv_id").to_pandas(),
-            "is_assistant": pc.equal(live.column("role"), "assistant")
-            .to_pandas()
-            .fillna(False),
-            "chars": pc.utf8_length(
-                pc.coalesce(live.column("text"), pa.scalar("", pa.large_string()))
-            ).to_pandas(),
-            "ts": live.column("ts").to_pandas(),
-        }
-    )
-    return df.groupby("conv_id", sort=False).agg(
-        n_turns=("conv_id", "size"),
-        n_assistant_turns=("is_assistant", "sum"),
-        total_chars=("chars", "sum"),
-        last_ts=("ts", "max"),
-    )
+@ray.remote
+def _view_partition_task(body, ctx: dict, item: dict) -> dict:
+    """Run one view partition body (:func:`rebuild_partition`,
+    :func:`join_partition`) in a pool worker."""
+    from .cdc import _single_threaded_arrow
+
+    _single_threaded_arrow()
+    return body(ctx, item)
 
 
-def _combine_partials(partials: list[pd.DataFrame]) -> pa.Table:
-    if not partials:
-        return VIEW_SCHEMA.empty_table()
-    df = pd.concat(partials)
-    out = (
-        df.groupby(level=0, sort=False)
-        .agg(
-            n_turns=("n_turns", "sum"),
-            n_assistant_turns=("n_assistant_turns", "sum"),
-            total_chars=("total_chars", "sum"),
-            last_ts=("last_ts", "max"),
+def _run_partitions(body, ctx: dict, items: list[dict]) -> list[dict]:
+    """One round of direct tasks, one per touched partition, sharing ONE
+    ``ray.put`` context — the lake reduce's dispatch shape
+    (``cdc._apply_pid_task``), so an advance costs in proportion to the
+    partitions it touches. Returns the O(touched partitions) meta dicts."""
+    ctx_ref = ray.put(ctx)
+    return ray.get([_view_partition_task.remote(body, ctx_ref, it) for it in items])
+
+
+def _merged_chunks(files: list[str], lake_sch: pa.Schema, key_cols):
+    """The merge-on-read state of one partition's file stack: streamed
+    k-way chunks (peak memory O(chunk x files)) when the stack is
+    CDC-sorted, else one merged table."""
+    from .cdc import _is_cdc_sorted, iter_merged_partition, merge_partition_files
+
+    if not files:
+        return iter(())
+    if key_cols and len(key_cols) <= 2 and _is_cdc_sorted(files):
+        return iter_merged_partition(files, lake_sch, key_cols)
+    return iter([merge_partition_files(files, lake_sch, key_cols)])
+
+
+def _live_rows(chunk: pa.Table, key: str, num_partitions: int, pid: int, touched) -> pa.Table:
+    """Live rows of ``chunk`` whose UNSALTED ``key`` hash routes to view
+    partition ``pid`` and, unless ``touched`` is None (a rebuild), is in
+    the sorted touched-hash array."""
+    from .cdc import DELETED_COL
+
+    live = chunk.filter(pc.invert(chunk.column(DELETED_COL)))
+    if not live.num_rows:
+        return live
+    h = stable_hash_array(live.column(key))
+    keep = (h % np.uint64(num_partitions)).astype(np.int64) == pid
+    if touched is not None:
+        keep &= in_sorted(h, touched)
+    return live.filter(pa.array(keep))
+
+
+def _write_atomic(t: pa.Table, path: str) -> None:
+    tmp = f"{path}.tmp-{os.getpid()}"
+    pq.write_table(t, tmp)
+    os.replace(tmp, path)
+
+
+def rebuild_partition(ctx: dict, item: dict) -> dict:
+    """Recompute one touched view partition: fold the kernel over the
+    touched conversations' merged lake rows, splice in the untouched
+    rows of the previous view file, write the new file (and, when the
+    view emits changes, its REPLACE delta). ``ctx`` is the advance's
+    shared context, ``item`` this partition's files and output paths."""
+    pid, touched, kernel, version = item["pid"], ctx["touched"], ctx["kernel"], ctx["version"]
+    partials = []
+    for chunk in _merged_chunks(item["files"], ctx["lake_schema"], ctx["key_cols"]):
+        sel = _live_rows(chunk, "conv_id", ctx["num_partitions"], pid, touched)
+        if sel.num_rows:
+            partials.append(kernel.partial(sel))
+    fresh = kernel.combine(partials)
+
+    pieces = [fresh]
+    gone = pa.array([], pa.string())
+    if touched is not None and item["old_file"]:
+        old = pq.read_table(item["old_file"])
+        touched_mask = in_sorted(_conv_hashes(old), touched)
+        old_kept = old.filter(pa.array(~touched_mask))
+        if old_kept.num_rows:
+            pieces.append(old_kept)
+        if item["delta_out"]:
+            # conversations that left the view this advance: touched in
+            # the old file, absent from the recompute
+            old_touched = pc.unique(old.filter(pa.array(touched_mask)).column("conv_id"))
+            gone = old_touched.filter(
+                pc.invert(pc.is_in(old_touched, value_set=pc.unique(fresh.column("conv_id"))))
+            ).cast(pa.string())
+    out = pa.concat_tables(pieces).sort_by("conv_id")
+    _write_atomic(out, item["out"])
+    delta_path = None
+    if item["delta_out"] and (fresh.num_rows or len(gone)):
+        u_t = pa.table(
+            {
+                "op": pa.array(["U"] * fresh.num_rows, pa.string()),
+                "version": pa.array([version] * fresh.num_rows, pa.int64()),
+                **{c: fresh.column(c) for c in fresh.column_names},
+            }
         )
-        .reset_index()
-    )
-    return pa.table(
-        {
-            "conv_id": pa.Array.from_pandas(out["conv_id"], type=pa.string()),
-            "n_turns": pa.Array.from_pandas(out["n_turns"], type=pa.int64()),
-            "n_assistant_turns": pa.Array.from_pandas(
-                out["n_assistant_turns"], type=pa.int64()
-            ),
-            "total_chars": pa.Array.from_pandas(out["total_chars"], type=pa.int64()),
-            "last_ts": pa.Array.from_pandas(out["last_ts"], type=pa.timestamp("us")),
-        }
-    )
+        d_t = pa.table(
+            {
+                "op": pa.array(["D"] * len(gone), pa.string()),
+                "version": pa.array([version] * len(gone), pa.int64()),
+                **{
+                    f.name: gone if f.name == "conv_id" else pa.nulls(len(gone), f.type)
+                    for f in fresh.schema
+                },
+            }
+        )
+        _write_atomic(pa.concat_tables([u_t, d_t]).sort_by("conv_id"), item["delta_out"])
+        delta_path = item["delta_out"]
+    return {"pid": pid, "rows": out.num_rows, "path": item["out"], "delta_path": delta_path}
 
 
 class RollupKernel:
@@ -196,15 +255,43 @@ class RollupKernel:
     column-for-column the cdc_rollup oracle SQL). Kernels are stateless,
     picklable strategy objects: ``partial`` runs per merged chunk inside
     the partition task, ``combine`` folds a partition's partials into the
-    view rows."""
+    view rows.
+
+    Both steps are single-threaded Arrow hash aggregates (the callers run
+    inside pool tasks). A null ``role`` is not an assistant turn, a null
+    ``text`` counts 0 chars and null ``ts`` values are skipped, so a
+    conversation whose ``ts`` is all null gets a null ``last_ts``. The
+    same ``partial`` is publish.conversation_rollup's map stage."""
 
     schema = VIEW_SCHEMA
 
-    def partial(self, live: pa.Table) -> pd.DataFrame:
-        return _rollup_partial(live)
+    @staticmethod
+    def partial(live: pa.Table) -> pa.Table:
+        t = pa.table(
+            {
+                "conv_id": live.column("conv_id"),
+                "a": pc.fill_null(pc.equal(live.column("role"), "assistant"), False),
+                "c": pc.fill_null(pc.utf8_length(live.column("text")), 0),
+                "ts": live.column("ts"),
+            }
+        )
+        aggs = [([], "count_all"), ("a", "sum"), ("c", "sum"), ("ts", "max")]
+        return _as_view(t.group_by("conv_id", use_threads=False).aggregate(aggs))
 
-    def combine(self, partials: list[pd.DataFrame]) -> pa.Table:
-        return _combine_partials(partials)
+    @staticmethod
+    def combine(partials: list[pa.Table]) -> pa.Table:
+        if not partials:
+            return VIEW_SCHEMA.empty_table()
+        t = pa.concat_tables(partials)
+        aggs = [(f.name, "max" if f.name == "last_ts" else "sum") for f in VIEW_SCHEMA][1:]
+        return _as_view(t.group_by("conv_id", use_threads=False).aggregate(aggs))
+
+
+def _as_view(g: pa.Table) -> pa.Table:
+    """A rollup aggregate's output (the ``conv_id`` key and the aggregates
+    in VIEW_SCHEMA order) as VIEW_SCHEMA rows."""
+    cols = [g.column("conv_id")] + g.drop_columns(["conv_id"]).columns
+    return pa.table(cols, names=VIEW_SCHEMA.names).cast(VIEW_SCHEMA)
 
 
 class CorpusKernel:
@@ -724,11 +811,7 @@ class IncrementalRollup:
             man, eng.salt_map, touched, touched_pids, num_partitions
         )
 
-        touched_ref = ray.put(touched)  # None (full) or sorted uint64 array
-        lake_sch = man.schema
-        key_cols = eng.key_cols
         view_dir = self.view_dir
-        kernel = self.kernel  # stateless; pickled into the partition tasks
         if emit:
             os.makedirs(os.path.join(view_dir, _CHANGES_DIR), exist_ok=True)
         items = []
@@ -752,107 +835,15 @@ class IncrementalRollup:
                     else None,
                 }
             )
-
-        def rebuild_partition(batch: pa.Table) -> pa.Table:
-            from .cdc import (
-                DELETED_COL,
-                _is_cdc_sorted,
-                _single_threaded_arrow,
-                iter_merged_partition,
-                merge_partition_files,
-            )
-
-            _single_threaded_arrow()
-            touched_local = ray.get(touched_ref)
-            out_meta = []
-            for row in batch.to_pylist():
-                pid = int(row["pid"])
-                files = list(row["files"])
-
-                def select(chunk: pa.Table) -> pa.Table:
-                    live = chunk.filter(pc.invert(chunk.column(DELETED_COL)))
-                    if not live.num_rows:
-                        return live
-                    h = _conv_hashes(live)
-                    keep = (h % np.uint64(num_partitions)).astype(np.int64) == pid
-                    if touched_local is not None:
-                        keep &= in_sorted(h, touched_local)
-                    return live.filter(pa.array(keep))
-
-                partials: list[pd.DataFrame] = []
-                if files:
-                    if key_cols and len(key_cols) <= 2 and _is_cdc_sorted(files):
-                        for chunk in iter_merged_partition(files, lake_sch, key_cols):
-                            sel = select(chunk)
-                            if sel.num_rows:
-                                partials.append(kernel.partial(sel))
-                    else:
-                        sel = select(merge_partition_files(files, lake_sch, key_cols))
-                        if sel.num_rows:
-                            partials.append(kernel.partial(sel))
-                fresh = kernel.combine(partials)
-
-                pieces = [fresh]
-                gone = pa.array([], pa.string())
-                if touched_local is not None and row["old_file"]:
-                    old = pq.read_table(row["old_file"])
-                    touched_mask = in_sorted(_conv_hashes(old), touched_local)
-                    old_kept = old.filter(pa.array(~touched_mask))
-                    if old_kept.num_rows:
-                        pieces.append(old_kept)
-                    if row["delta_out"]:
-                        # conversations that left the view this advance:
-                        # touched in the old file, absent from the recompute
-                        old_touched = pc.unique(
-                            old.filter(pa.array(touched_mask)).column("conv_id")
-                        )
-                        gone = old_touched.filter(
-                            pc.invert(
-                                pc.is_in(
-                                    old_touched,
-                                    value_set=pc.unique(fresh.column("conv_id")),
-                                )
-                            )
-                        ).cast(pa.string())
-                out = pa.concat_tables(pieces).sort_by("conv_id")
-                tmp = f"{row['out']}.tmp-{os.getpid()}"
-                pq.write_table(out, tmp)
-                os.replace(tmp, row["out"])
-                delta_path = None
-                if row["delta_out"] and (fresh.num_rows or len(gone)):
-                    sch = fresh.schema
-                    u_t = pa.table(
-                        {
-                            "op": pa.array(["U"] * fresh.num_rows, pa.string()),
-                            "version": pa.array([version] * fresh.num_rows, pa.int64()),
-                            **{c: fresh.column(c) for c in fresh.column_names},
-                        }
-                    )
-                    d_t = pa.table(
-                        {
-                            "op": pa.array(["D"] * len(gone), pa.string()),
-                            "version": pa.array([version] * len(gone), pa.int64()),
-                            **{
-                                f.name: gone if f.name == "conv_id" else pa.nulls(len(gone), f.type)
-                                for f in sch
-                            },
-                        }
-                    )
-                    delta = pa.concat_tables([u_t, d_t]).sort_by("conv_id")
-                    dtmp = f"{row['delta_out']}.tmp-{os.getpid()}"
-                    pq.write_table(delta, dtmp)
-                    os.replace(dtmp, row["delta_out"])
-                    delta_path = row["delta_out"]
-                out_meta.append(
-                    {"pid": pid, "rows": out.num_rows, "path": row["out"], "delta_path": delta_path}
-                )
-            return pa.Table.from_pylist(out_meta)
-
-        results = (
-            ray.data.from_items(items)
-            .map_batches(rebuild_partition, batch_format="pyarrow", batch_size=1)
-            .take_all()  # O(touched partitions) meta rows only
-        )
+        ctx = {
+            "lake_schema": man.schema,
+            "key_cols": eng.key_cols,
+            "num_partitions": num_partitions,
+            "kernel": self.kernel,  # stateless; shipped once per advance
+            "version": version,
+            "touched": touched,  # None (full) or sorted uint64 array
+        }
+        results = _run_partitions(rebuild_partition, ctx, items)
 
         files = dict(old_files)
         rows_written = 0
@@ -1998,6 +1989,44 @@ class IncrementalTextIndex(IncrementalRollup):
         )
 
 
+def join_partition(ctx: dict, item: dict) -> dict:
+    """Recompute one touched partition of an :class:`IncrementalJoin`:
+    merge the dimension side once (O(keys/P) rows), join it to each
+    streamed chunk of the fact side, splice in the untouched rows of the
+    previous view file and write the new file."""
+    pid, touched, on, P = item["pid"], ctx["touched"], ctx["on"], ctx["num_partitions"]
+    out_schema, r_cols = ctx["out_schema"], [on] + ctx["right_cols"]
+    r_live = pa.concat_tables(
+        [
+            _live_rows(c, on, P, pid, touched).select(r_cols)
+            for c in _merged_chunks(item["r_files"], ctx["r_schema"], ctx["r_keys"])
+        ]
+        or [out_schema.empty_table().select(r_cols)]
+    )
+    pieces: list[pa.Table] = []
+    for chunk in _merged_chunks(item["l_files"], ctx["l_schema"], ctx["l_keys"]):
+        sel = _live_rows(chunk, on, P, pid, touched).select(ctx["left_names"])
+        if sel.num_rows:
+            j = sel.join(
+                r_live,
+                keys=on,
+                join_type="inner" if ctx["how"] == "inner" else "left outer",
+                use_threads=False,
+            )
+            if j.num_rows:
+                pieces.append(j.select(out_schema.names).cast(out_schema))
+    if touched is not None and item["old_file"]:
+        old = pq.read_table(item["old_file"])
+        old_kept = old.filter(pa.array(~in_sorted(stable_hash_array(old.column(on)), touched)))
+        if old_kept.num_rows:
+            pieces.append(old_kept)
+    out = (pa.concat_tables(pieces) if pieces else out_schema.empty_table()).sort_by(
+        [(c, "ascending") for c in ctx["l_keys"]]
+    )
+    _write_atomic(out, item["out"])
+    return {"pid": pid, "rows": out.num_rows, "path": item["out"]}
+
+
 class IncrementalJoin:
     """Incrementally-maintained JOIN view across TWO co-partitioned CDC
     tables — the materialized form of ``fact LEFT JOIN dim USING (key)``
@@ -2304,15 +2333,7 @@ class IncrementalJoin:
         extra_l = _salt_fanout_files(lman, self.left.salt_map, touched, touched_pids, P)
         extra_r = _salt_fanout_files(rman, self.right.salt_map, touched, touched_pids, P)
 
-        touched_ref = ray.put(touched)
-        l_sch, r_sch = lman.schema, rman.schema
-        l_keys, r_keys = self.left.key_cols, self.right.key_cols
-        on, how, right_cols = self.on, self.how, list(self.right_cols)
-        out_schema = self.schema
-        sort_keys = [(c, "ascending") for c in l_keys]
-        left_names = [f.name for f in self.left._public_schema()]
         view_dir = self.view_dir
-
         items = []
         for pid in touched_pids:
             items.append(
@@ -2333,90 +2354,20 @@ class IncrementalJoin:
                     ),
                 }
             )
-
-        def join_partition(batch: pa.Table) -> pa.Table:
-            from .cdc import (
-                DELETED_COL,
-                _is_cdc_sorted,
-                _single_threaded_arrow,
-                iter_merged_partition,
-                merge_partition_files,
-            )
-
-            _single_threaded_arrow()
-            touched_local = ray.get(touched_ref)
-            out_meta = []
-            for row in batch.to_pylist():
-                pid = int(row["pid"])
-
-                def select(chunk: pa.Table, cols: list[str]) -> pa.Table:
-                    live = chunk.filter(pc.invert(chunk.column(DELETED_COL)))
-                    if not live.num_rows:
-                        return live.select(cols)
-                    h = stable_hash_array(live.column(on))
-                    keep = (h % np.uint64(P)).astype(np.int64) == pid
-                    if touched_local is not None:
-                        keep &= in_sorted(h, touched_local)
-                    return live.filter(pa.array(keep)).select(cols)
-
-                # dimension side: merged once per partition (O(keys/P) rows)
-                r_live = (
-                    select(
-                        merge_partition_files(row["r_files"], r_sch, r_keys),
-                        [on] + right_cols,
-                    )
-                    if row["r_files"]
-                    else out_schema.empty_table().select([on] + right_cols)
-                )
-
-                def join_chunk(chunk: pa.Table) -> pa.Table:
-                    sel = select(chunk, left_names)
-                    if not sel.num_rows:
-                        return out_schema.empty_table()
-                    j = sel.join(
-                        r_live,
-                        keys=on,
-                        join_type="inner" if how == "inner" else "left outer",
-                        use_threads=False,
-                    )
-                    return j.select(out_schema.names).cast(out_schema)
-
-                pieces: list[pa.Table] = []
-                if row["l_files"]:
-                    if l_keys and len(l_keys) <= 2 and _is_cdc_sorted(row["l_files"]):
-                        for chunk in iter_merged_partition(row["l_files"], l_sch, l_keys):
-                            j = join_chunk(chunk)
-                            if j.num_rows:
-                                pieces.append(j)
-                    else:
-                        j = join_chunk(merge_partition_files(row["l_files"], l_sch, l_keys))
-                        if j.num_rows:
-                            pieces.append(j)
-                fresh = (
-                    pa.concat_tables(pieces) if pieces else out_schema.empty_table()
-                )
-
-                pieces = [fresh]
-                if touched_local is not None and row["old_file"]:
-                    old = pq.read_table(row["old_file"])
-                    keep_mask = ~in_sorted(
-                        stable_hash_array(old.column(on)), touched_local
-                    )
-                    old_kept = old.filter(pa.array(keep_mask))
-                    if old_kept.num_rows:
-                        pieces.append(old_kept)
-                out = pa.concat_tables(pieces).sort_by(sort_keys)
-                tmp = f"{row['out']}.tmp-{os.getpid()}"
-                pq.write_table(out, tmp)
-                os.replace(tmp, row["out"])
-                out_meta.append({"pid": pid, "rows": out.num_rows, "path": row["out"]})
-            return pa.Table.from_pylist(out_meta)
-
-        results = (
-            ray.data.from_items(items)
-            .map_batches(join_partition, batch_format="pyarrow", batch_size=1)
-            .take_all()  # O(touched partitions) meta rows only
-        )
+        ctx = {
+            "l_schema": lman.schema,
+            "r_schema": rman.schema,
+            "l_keys": self.left.key_cols,
+            "r_keys": self.right.key_cols,
+            "left_names": [f.name for f in self.left._public_schema()],
+            "on": self.on,
+            "how": self.how,
+            "right_cols": list(self.right_cols),
+            "out_schema": self.schema,
+            "num_partitions": P,
+            "touched": touched,
+        }
+        results = _run_partitions(join_partition, ctx, items)
 
         files = dict(old_files)
         rows_written = 0

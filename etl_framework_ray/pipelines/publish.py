@@ -101,33 +101,16 @@ def publish_snapshot(
 def conversation_rollup(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Per-conversation stats: turns, assistant turns, chars, last ts.
 
-    Partial-aggregates inside ``map_batches`` (one row per conv per block)
-    so the groupby shuffles partials, not turns.
+    Partial-aggregates inside ``map_batches`` (one row per conv per block,
+    the maintained view's kernel) so the groupby shuffles partials, not
+    turns.
     """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "conv_id": batch.column("conv_id").to_pandas(),
-                "is_assistant": pc.equal(batch.column("role"), "assistant").to_pandas().fillna(False),
-                "chars": pc.utf8_length(
-                    pc.coalesce(batch.column("text"), pa.scalar("", pa.large_string()))
-                ).to_pandas(),
-                "ts": batch.column("ts").to_pandas(),
-            }
-        )
-        g = df.groupby("conv_id", sort=False).agg(
-            n_turns=("conv_id", "size"),
-            n_assistant_turns=("is_assistant", "sum"),
-            total_chars=("chars", "sum"),
-            last_ts=("ts", "max"),
-        )
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
-
     from ray.data.aggregate import Max, Sum
 
+    from .incremental import RollupKernel
+
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
+        ds.map_batches(RollupKernel.partial, batch_format="pyarrow")
         .groupby("conv_id")
         .aggregate(
             Sum("n_turns", alias_name="n_turns"),

@@ -56,7 +56,14 @@ def _grouped_window_partial(
     enc = pc.dictionary_encode(
         et.combine_chunks() if isinstance(et, pa.ChunkedArray) else et
     )
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)[row_idx]
+    codes = enc.indices
+    if codes.null_count:
+        # a null event_type is no group (pandas groupby semantics): drop
+        # its rows, whose null index would decode as a garbage code
+        valid = pc.is_valid(codes).to_numpy(zero_copy_only=False)[row_idx]
+        win_starts, row_idx = win_starts[valid], row_idx[valid]
+        codes = pc.fill_null(codes, 0)
+    codes = codes.to_numpy(zero_copy_only=False).astype(np.int64)[row_idx]
     vals = batch.column("value").to_numpy(zero_copy_only=False).astype(np.float64)[
         row_idx
     ]

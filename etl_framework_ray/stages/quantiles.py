@@ -161,7 +161,7 @@ def rank_select_quantiles(
     agg = pruned.aggregate(
         Count(alias_name="n"), Min(col, alias_name="mn"), Max(col, alias_name="mx")
     )
-    n = int(agg["n"] or 0)
+    n = int(agg["n"] or 0) if agg is not None else 0  # None: empty dataset
     if n == 0:
         return pa.table({"q": pa.array([], pa.float64()), "v": pa.array([], pa.float64())})
     mn = float(agg["mn"])

@@ -9,7 +9,6 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 
 def in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
@@ -22,32 +21,13 @@ def in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     return sorted_arr[pos] == values
 
 
-@ray.remote(num_cpus=0)
-class CounterActor:
-    """Zero-CPU accumulator for per-batch metrics emitted by streaming
-    tasks (DQ failure counts, curation funnel rows). NOT transactional:
-    a task retried by Ray after partial completion re-adds its batches —
-    acceptable for monitoring/audit counters, never for correctness
-    decisions beyond the same single run."""
-
-    def __init__(self):
-        self.counts: dict = {}
-
-    def add(self, counts: dict) -> None:
-        for k, v in counts.items():
-            self.counts[k] = self.counts.get(k, 0) + v
-
-    def get(self) -> dict:
-        return dict(self.counts)
-
-
 class BatchCounts:
     """Streaming per-batch metric counts WITHOUT a per-batch actor RPC.
 
-    The previous design (``ray.get(counter.add.remote(...))`` per batch)
-    blocked every staging batch on a synchronous round-trip and serialized
-    all writers through one actor. This sink instead appends one JSON line
-    per batch to a per-worker-process file under ``dir_path`` — an
+    A per-batch actor round-trip (``ray.get(counter.add.remote(...))``)
+    would block every staging batch and serialize all writers through one
+    actor. This sink instead appends one JSON line per batch to a
+    per-worker-process file under ``dir_path`` — an
     open-append-close per BATCH (not per row), ~10 µs against millisecond
     batches, no cross-task serialization — and the driver sums the files
     after the pipeline's execution completes. (An earlier draft cached the
@@ -55,9 +35,9 @@ class BatchCounts:
     dir, so reused Ray workers accumulated one leaked fd per job — the
     cache was an unbounded fd leak, not a win.)
 
-    Same delivery contract as the old actor: at-least-once under task
-    retry (a retried task re-appends its batches) — audit/monitoring
-    counts, never correctness decisions. On a multi-node cluster
+    Delivery contract: at-least-once under task retry (a retried task
+    re-appends its batches) — audit/monitoring counts, never correctness
+    decisions. On a multi-node cluster
     ``dir_path`` must live on shared storage, the same assumption the DQ
     failure-detail writer already makes.
     """

@@ -10,7 +10,7 @@ Executors mutate the table manifest instead of issuing SQL DDL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pyarrow as pa
 
@@ -122,7 +122,3 @@ class TablePlan:
     def is_noop(self) -> bool:
         return self.create is None and (self.align is None or self.align.is_noop)
 
-
-@dataclass(frozen=True)
-class CatalogPlan:
-    plans: tuple[TablePlan, ...] = field(default_factory=tuple)

@@ -304,6 +304,93 @@ def test_corpus_kernel_combine_is_order_invariant():
     assert k.combine([k.partial(live(shuffled))]).to_pydict() == baselines
 
 
+def _pandas_rollup(live: pa.Table) -> dict:
+    """Reference semantics of the rollup kernel in pandas: a null role is
+    not an assistant turn, a null text is 0 chars, MAX(ts) skips nulls."""
+    df = pd.DataFrame(
+        {
+            "conv_id": live.column("conv_id").to_pandas(),
+            "is_assistant": live.column("role").to_pandas().eq("assistant"),
+            "chars": pc.utf8_length(
+                pc.coalesce(live.column("text"), pa.scalar("", pa.large_string()))
+            ).to_pandas(),
+            "ts": live.column("ts").to_pandas(),
+        }
+    )
+    g = df.groupby("conv_id").agg(
+        n_turns=("conv_id", "size"),
+        n_assistant_turns=("is_assistant", "sum"),
+        total_chars=("chars", "sum"),
+        last_ts=("ts", "max"),
+    )
+    return {
+        c: [
+            None if v is pd.NaT else v.to_pydatetime() if c == "last_ts" else v
+            for v in g.reset_index()[c].tolist()
+        ]
+        for c in ["conv_id", "n_turns", "n_assistant_turns", "total_chars", "last_ts"]
+    }
+
+
+def test_rollup_kernel_matches_pandas_semantics():
+    """The Arrow RollupKernel equals the pandas rollup on nulls, all-null
+    timestamps, empty input and shuffled multi-chunk partials."""
+    import random
+
+    from etl_framework_ray.pipelines.incremental import VIEW_SCHEMA, RollupKernel
+
+    k = RollupKernel()
+    t0 = datetime.datetime(2024, 1, 1)
+    rows = [
+        ("c1", "user", "hello", t0),
+        ("c1", "assistant", None, t0 + datetime.timedelta(seconds=5)),  # null text
+        ("c1", None, "héllo wörld", t0 + datetime.timedelta(seconds=2)),  # null role
+        ("c2", "assistant", "", None),  # c2: every ts null -> null last_ts
+        ("c2", "assistant", "ab", None),
+        ("c3", None, None, t0),  # c3: only a null role and a null text
+    ] + [(f"c{4 + i % 5}", ["user", "assistant"][i % 2], "x" * i, t0) for i in range(20)]
+
+    def live(rs):
+        return pa.table(
+            {
+                "conv_id": pa.array([r[0] for r in rs], pa.string()),
+                "role": pa.array([r[1] for r in rs], pa.string()),
+                "text": pa.array([r[2] for r in rs], pa.large_string()),
+                "ts": pa.array([r[3] for r in rs], pa.timestamp("us")),
+            }
+        )
+
+    want = _pandas_rollup(live(rows))
+    whole = k.combine([k.partial(live(rows))])
+    assert whole.schema == VIEW_SCHEMA
+    assert whole.sort_by("conv_id").to_pydict() == want
+    got = dict(zip(want["conv_id"], zip(want["n_assistant_turns"], want["total_chars"], want["last_ts"])))
+    assert got["c1"] == (1, 16, t0 + datetime.timedelta(seconds=5))
+    assert got["c2"] == (2, 2, None)
+    assert got["c3"] == (0, 0, t0)
+
+    # empty partial list and empty chunks
+    assert k.combine([]).schema == VIEW_SCHEMA and k.combine([]).num_rows == 0
+    assert k.combine([k.partial(live(rows[:0]))]).num_rows == 0
+
+    # shuffled rows split into several chunks, each partial multi-chunk,
+    # partials combined in shuffled order
+    rng = random.Random(7)
+    for _ in range(5):
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        cuts = sorted(rng.sample(range(1, len(shuffled)), 3))
+        chunks = [shuffled[a:b] for a, b in zip([0] + cuts, cuts + [len(shuffled)])]
+        partials = []
+        for c in chunks:
+            half = len(c) // 2
+            multi = pa.concat_tables([live(c[:half]), live(c[half:])])
+            assert multi.column("conv_id").num_chunks == 2
+            partials.append(k.partial(multi))
+        rng.shuffle(partials)
+        assert k.combine(partials).sort_by("conv_id").to_pydict() == want
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_advance_crash_orphans_are_pruned_next_commit(tmp_path):
     """A part file left behind by a crash mid-advance (written but never

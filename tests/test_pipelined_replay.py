@@ -73,3 +73,33 @@ def test_pipelined_resume(tmp_path):
     assert st.epochs_applied == 2  # remaining epochs only
     oracle = oracle_replay(log)
     assert eng2.snapshot_arrow().num_rows == len(oracle)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_pipelined_tail_never_reprepares_overlapping_segments(tmp_path):
+    """Segments list by min LSN, so with overlapping ranges the last
+    listed epoch need not hold the newest LSN. Here a source redelivers
+    LSNs 11..20 inside a segment covering 1..30: the tail's listing
+    watermark must still reach 30, so the re-list does not hand the
+    already-queued 1..30 segment to the map round a second time."""
+    log = generate_changelog(GenConfig(num_events=30, num_conversations=5, seed=88))
+    log = log.sort_by("lsn")
+    assert log.column("lsn").to_pylist() == list(range(1, 31))
+    clog = ChangeLog(str(tmp_path / "log"))
+    clog.write_segments(log, segment_rows=30)  # segment 1..30
+    clog.write_segments(log.slice(10, 10), segment_rows=10)  # redelivered 11..20
+    assert [(s.min_lsn, s.max_lsn) for s in clog.segments()] == [(1, 30), (11, 20)]
+
+    eng = CDCEngine(str(tmp_path / "tbl"), num_partitions=2)
+    prepped: list[str] = []
+    submit = eng._submit_prep
+
+    def counting_submit(epoch, chg_schema):
+        prepped.extend(epoch.paths)
+        return submit(epoch, chg_schema)
+
+    eng._submit_prep = counting_submit
+    eng.tail(clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=1, pipelined=True)
+    assert sorted(prepped) == sorted(s.path for s in clog.segments())
+    assert eng.manifest.applied_lsn == 30
+    assert eng.snapshot_arrow().num_rows == len(oracle_replay(log))

@@ -39,6 +39,10 @@ def test_quantiles_empty_and_constant():
     empty = ray.data.from_arrow(pa.table({"x": pa.array([], pa.float64())}))
     assert rank_select_quantiles(empty, "x").num_rows == 0
     const = ray.data.from_arrow(pa.table({"x": pa.array([7.0] * 100, pa.float64())}))
+    all_null = ray.data.from_arrow(pa.table({"x": pa.array([None] * 3, pa.float64())}))
+    assert rank_select_quantiles(all_null, "x").num_rows == 0
+    # a zero-block dataset aggregates to None, not to a zero count
+    assert rank_select_quantiles(const.limit(0), "x").num_rows == 0
     out = rank_select_quantiles(const, "x", (0.0, 0.5, 1.0)).to_pandas()
     assert (out.v == 7.0).all()
 

@@ -81,3 +81,24 @@ def test_hopping_rejects_misaligned_hop():
 
     with pytest.raises(ValueError, match="multiple"):
         hopping_counts(SF, window_s=3600, hop_s=1000)
+
+
+def test_window_partial_drops_null_event_type():
+    """A null event_type is no group (pandas groupby semantics): its row
+    must not surface under a garbage dictionary code."""
+    import datetime
+
+    import numpy as np
+    import pyarrow as pa
+
+    from etl_framework_ray.pipelines.windows import _grouped_window_partial
+
+    one = pa.table(
+        {
+            "ts": pa.array([datetime.datetime(2024, 1, 1)], pa.timestamp("us")),
+            "event_type": pa.array([None], pa.string()),
+            "value": pa.array([1.5], pa.float64()),
+        }
+    )
+    zero = np.zeros(1, dtype=np.int64)
+    assert _grouped_window_partial(one, zero, zero).num_rows == 0
