@@ -1134,12 +1134,11 @@ def run_relops() -> dict:
 
 
 def run_refmatrix() -> dict:
-    """Direct-exchange ref-matrix headroom (round-4 verdict #5): the map
-    round emits segments × partitions object refs per epoch; this leg
-    replays ONE fixed epoch (32 segments, BENCH_REFMATRIX_EVENTS events)
-    at rising partition counts under BOTH exchanges and reports where the
-    direct exchange knees against the consolidated sort exchange — the
-    measurement behind CDCEngine's ``auto_sort_refs`` default."""
+    """Exchange cost against partition count: replays ONE fixed epoch (32
+    segments, BENCH_REFMATRIX_EVENTS events) at P = 64 … 4096. Each map
+    task returns two objects (table + bounds), so an epoch holds
+    2 × segments refs at every P; the leg shows the seconds stay flat
+    instead of kneeing with segments × P."""
     gb0 = _ambient_gbps()
     ray = _bench_session()
 
@@ -1163,45 +1162,29 @@ def run_refmatrix() -> dict:
         del log
     runs = []
     for p in (64, 256, 1024, 4096):
-        for mode in ("ray", "sort"):
-            work = tempfile.mkdtemp(prefix="refmatrix_")
-            eng = CDCEngine(
-                os.path.join(work, "t"), num_partitions=p, exchange=mode,
-                auto_sort_refs=None, compact_every=1_000_000,
-            )
-            t0 = time.perf_counter()
-            st = eng.replay(ChangeLog(d), segments_per_epoch=segs, vacuum=False)
-            dt = time.perf_counter() - t0
-            # one epoch per ceil(segments/segs); events can exceed n when
-            # out-of-order segments carry overlapping per-segment LSN spans
-            n_seg_files = len(
-                [f for f in os.listdir(d) if f.startswith("segment-")]
-            )
-            expected_epochs = -(-n_seg_files // segs)
-            assert st.epochs_applied == expected_epochs and st.events >= n, st
-            runs.append(
-                {
-                    "partitions": p,
-                    "exchange": mode,
-                    "refs_per_epoch": segs * p,
-                    "sec": round(dt, 2),
-                    "events_per_sec": round(st.events / dt),
-                }
-            )
-            shutil.rmtree(work, ignore_errors=True)
-    # knee: the smallest ref matrix where the direct exchange loses to sort
-    knee = None
-    by_p: dict = {}
-    for r in runs:
-        by_p.setdefault(r["partitions"], {})[r["exchange"]] = r
-    for p in sorted(by_p):
-        pair = by_p[p]
-        if pair["ray"]["sec"] > pair["sort"]["sec"] and knee is None:
-            knee = pair["ray"]["refs_per_epoch"]
+        work = tempfile.mkdtemp(prefix="refmatrix_")
+        eng = CDCEngine(os.path.join(work, "t"), num_partitions=p, compact_every=1_000_000)
+        t0 = time.perf_counter()
+        st = eng.replay(ChangeLog(d), segments_per_epoch=segs, vacuum=False)
+        dt = time.perf_counter() - t0
+        # one epoch per ceil(segments/segs); events can exceed n when
+        # out-of-order segments carry overlapping per-segment LSN spans
+        n_seg_files = len([f for f in os.listdir(d) if f.startswith("segment-")])
+        expected_epochs = -(-n_seg_files // segs)
+        assert st.epochs_applied == expected_epochs and st.events >= n, st
+        runs.append(
+            {
+                "partitions": p,
+                "refs_per_epoch": 2 * segs,
+                "sec": round(dt, 2),
+                "events_per_sec": round(st.events / dt),
+            }
+        )
+        shutil.rmtree(work, ignore_errors=True)
     out = {
-        "metric": "refmatrix_knee_refs_per_epoch",
-        "value": knee,
-        "unit": "refs (segments x partitions)",
+        "metric": "refmatrix_sec_at_max_partitions",
+        "value": runs[-1]["sec"],
+        "unit": "sec",
         "events": n,
         "segments_per_epoch": segs,
         "runs": runs,

@@ -2,10 +2,9 @@
 
 Arrow-compute re-expressions of the reference's PySpark column operations:
 ``cast``/``alias`` (/root/reference/src/silver/order.py:73-83), ``rlike``
-regex filters (/root/reference/src/silver/product.py:70-84), ``when/
-otherwise`` (/root/reference/src/metadata/slo/quality.py:49-52), temporal
-functions (timeliness.py:83). All functions are pure
-``pa.Table -> pa.Table`` and composable inside one ``map_batches`` call.
+regex filters (/root/reference/src/silver/product.py:70-84) and
+``explode``. All functions are pure ``pa.Table -> pa.Table`` and composable
+inside one ``map_batches`` call.
 """
 
 from __future__ import annotations
@@ -40,18 +39,6 @@ def filter_regex(tbl: pa.Table, column: str, pattern: str) -> pa.Table:
     return tbl.filter(pc.fill_null(mask, False))
 
 
-def if_else_column(
-    tbl: pa.Table, name: str, mask: pa.Array | pa.ChunkedArray, if_true, if_false
-) -> pa.Table:
-    """``F.when(cond, a).otherwise(b)`` — pc.if_else."""
-    return tbl.append_column(name, pc.if_else(mask, if_true, if_false))
-
-
-def hour_of(tbl: pa.Table, ts_col: str) -> pa.ChunkedArray:
-    """``F.hour(ts)`` (/root/reference/src/metadata/slo/timeliness.py:83)."""
-    return pc.hour(tbl.column(ts_col))
-
-
 def explode_struct_list(tbl: pa.Table, column: str, keep: list[str] | None = None) -> pa.Table:
     """``F.explode(list<struct>)`` then struct-field access — the reference's
     DQ-failure flattening (/root/reference/src/models/data_quality_evaluator.py:53-65):
@@ -74,13 +61,3 @@ def explode_struct_list(tbl: pa.Table, column: str, keep: list[str] | None = Non
         f = struct_type.field(i)
         out_cols[f.name] = pc.struct_field(flat, f.name)
     return pa.table(out_cols)
-
-
-def with_constants(tbl: pa.Table, consts: dict[str, tuple]) -> pa.Table:
-    """Stamp constant metadata columns (table_name/job_id/run_id/date
-    literals — /root/reference/src/models/data_quality_evaluator.py:70-79).
-    ``consts`` maps name -> (value, arrow_type)."""
-    n = tbl.num_rows
-    for name, (value, dtype) in consts.items():
-        tbl = tbl.append_column(name, pa.array([value] * n, dtype))
-    return tbl

@@ -8,17 +8,22 @@ Ray-first realization of the reference's MERGE upsert
    normalize to the (possibly evolved) epoch schema, vectorized LWW
    *combiner* (drops superseded events before any exchange — the
    partial-aggregation pattern, and the salting story for hot
-   conversations: each key collapses to ≤1 row per segment), hash-split
-   by ``siphash(conv_id) % P`` into P sub-tables (``num_returns=P``).
-2. **Reduce round** — one task per partition: concat its pieces from all
-   segments, LWW-reduce on ``(conv_id, turn_idx)`` by ``(ts, _lsn)``, and
-   write ONE file: a *delta* (just this epoch's reduced changes — apply
-   never touches existing data) or, past ``compact_every`` live files, a
-   *base* that folds the partition's stack (LSM merge-on-read; write
-   volume O(changes) + O(table)/compact_every). Tombstones stay in lake
-   files so late re-delivery of an older event cannot resurrect a deleted
-   key. Retries are idempotent: deterministic content + path, atomic
-   replace.
+   conversations: each key collapses to ≤1 row per segment), sort by
+   ``siphash(conv_id) % P`` and return TWO objects: the pid-sorted table
+   and its ``bounds`` array (rows ``[bounds[p], bounds[p+1])`` belong to
+   partition ``p``). An epoch holds 2 × segments object refs at any P.
+2. **Reduce round** — the driver fetches the tiny bounds, skips the
+   partitions no segment touched, and packs the touched ones by row load
+   (largest first onto the least-loaded task) into at most
+   4 × cluster-CPU tasks. Per partition, a task slices its rows out of
+   every segment table without copying, LWW-reduces on
+   ``(conv_id, turn_idx)`` by ``(ts, _lsn)``, and writes ONE file: a
+   *delta* (just this epoch's reduced changes — apply never touches
+   existing data) or, past ``compact_every`` live files, a *base* that
+   folds the partition's stack (LSM merge-on-read; write volume
+   O(changes) + O(table)/compact_every). Tombstones stay in lake files so
+   late re-delivery of an older event cannot resurrect a deleted key.
+   Retries are idempotent: deterministic content + path, atomic replace.
 3. **Commit** — the driver collects the tiny per-partition meta rows,
    writes lineage metrics, and atomically publishes one new manifest
    version. Readers only see manifest-listed files, so a kill at ANY
@@ -29,24 +34,6 @@ Snapshot reads are per-partition merge-on-read (base+deltas → LWW →
 drop tombstones), key-sorted within partitions (stable turn ordering is
 partition-local by design).
 
-Two exchange implementations (``exchange=`` ctor arg):
-- ``"ray"`` (default): the direct two-round map/reduce above — minimal
-  scheduling rounds; assumes segments_per_epoch × num_partitions object
-  refs stay bounded.
-- ``"sort"``: ``Dataset.groupby("pid").map_groups`` sort-shuffle — more
-  fixed cost per epoch, but consolidates for cluster-scale epochs where
-  the ref-matrix would explode.
-
-The crossover is MEASURED, not assumed (``bench --refmatrix``: one 1M-
-event epoch of 32 segments at P ∈ {64…4096} under both exchanges): the
-direct exchange wins through 8 192 refs/epoch, loses from 32 768
-(1.75 s vs 1.33 s) and collapses at 131 072 (7.7 s vs 2.4 s — the
-scheduler knees on the ref matrix). ``auto_sort_refs`` (ctor, default
-the measured 32 768 knee) routes any epoch past the bound through the
-sort exchange automatically — counted in ``auto_sort_switches`` and
-logged, never silent; pipelined replay/tail gate their prefetch on the
-same bound.
-
 Scale notes (100 TB): ``num_partitions`` bounds the merge unit — size it
 so one partition's live data fits a worker (4096+ partitions for a 100 TB
 table); an epoch only writes partitions it touches, and compaction
@@ -55,7 +42,6 @@ amortizes the full rewrite across ``compact_every`` epochs.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -103,27 +89,6 @@ def _single_threaded_arrow() -> None:
             pa.jemalloc_set_decay_ms(-1)
         except (NotImplementedError, OSError):  # non-jemalloc builds
             pass
-
-
-_META_SCHEMA = pa.schema(
-    [
-        pa.field("pid", pa.int64()),
-        pa.field("path", pa.string()),
-        pa.field("mode", pa.string()),  # delta | base (compaction)
-        pa.field("rows_live", pa.int64()),
-        pa.field("tombstones", pa.int64()),
-        pa.field("bytes", pa.int64()),
-        pa.field("events", pa.int64()),
-        #: set when a compacting apply also persisted the epoch's changes
-        #: as a retained changefeed delta
-        pa.field("retained_path", pa.string()),
-        #: JSON zone-map stats of the written file (state/zonemap shape)
-        pa.field("zone_stats", pa.string()),
-        #: partial images (op="P") discarded by the patch fold: late, on a
-        #: deleted base, or with no base at all (never silent)
-        pa.field("patches_discarded", pa.int64()),
-    ]
-)
 
 
 def _zone_cols(lake_sch: pa.Schema) -> list[str]:
@@ -677,119 +642,10 @@ def _write_merged_stream(
     return rows, tomb, stats or {}
 
 
-def make_partition_applier(ctx_ref: "ray.ObjectRef", key_cols: tuple[str, ...]):
-    """Build the per-partition merge fn for ``groupby('pid').map_groups``.
-
-    ``ctx_ref`` is a ``ray.put`` broadcast of the (small) apply context —
-    partition→files map, target lake schema, epoch id, table dir — fetched
-    once per task from the local object store instead of re-shipped per
-    group (SURVEY.md §4.2 broadcast pattern).
-    """
-
-    def apply_partition(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _META_SCHEMA.empty_table()
-        _single_threaded_arrow()
-        ctx = ray.get(ctx_ref)
-        lake_sch = ctx["lake_schema"]
-        pid = group.column("pid")[0].as_py()
-        n_events = group.num_rows
-
-        grp = group.drop_columns(["pid"])
-        existing = ctx["part_files"].get(pid, [])
-        patches_discarded = 0
-        if _has_patches(grp):
-            changes, patches_discarded = _fold_epoch_patches(
-                grp, key_cols, existing, lake_sch
-            )
-        else:
-            changes = _changes_to_lake_rows(grp, lake_sch)
-            changes = lww_reduce(
-                changes, key_cols, _lww_order(lake_sch, LSN_COL)
-            )  # key-sorted
-        compacting = len(existing) + 1 > ctx["compact_every"]
-        mode = "base" if compacting else "delta"
-        out_dir = os.path.join(
-            ctx["table_dir"], "data", f"part={pid:05d}", f"epoch={ctx['epoch_id']:012d}"
-        )
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"{mode}-{pid:05d}-{ctx['epoch_id']:012d}.parquet")
-        tmp = f"{path}.tmp-{os.getpid()}"
-        retained_path = None
-        if compacting:
-            # compaction: STREAM base+deltas+changes into one base file —
-            # write volume amortizes to changes + table/compact_every per
-            # epoch (LSM merge-on-read), peak memory O(chunk × files)
-            rows, tombstones, zstats = _write_merged_stream(
-                tmp,
-                existing,
-                lake_sch,
-                key_cols,
-                extra_sorted=changes,
-                epoch_id=ctx["epoch_id"],
-                ttl=ctx.get("tombstone_ttl_lsn"),
-            )
-            if ctx.get("retain_changefeed"):
-                # the epoch's changes fold straight into the base, so also
-                # persist them as a retained changefeed delta
-                retained_path = os.path.join(
-                    out_dir, f"delta-{pid:05d}-{ctx['epoch_id']:012d}.parquet"
-                )
-                tmpd = f"{retained_path}.tmp-{os.getpid()}"
-                pq.write_table(changes, tmpd)
-                os.replace(tmpd, retained_path)
-        else:
-            # delta write: the epoch's reduced changes only — apply never
-            # touches existing data outside compaction epochs
-            pq.write_table(changes, tmp)
-            rows = changes.num_rows
-            tombstones = pc.sum(changes.column(DELETED_COL)).as_py() or 0
-            zstats = zone.table_stats(changes, _zone_cols(lake_sch))
-        os.replace(tmp, path)  # idempotent under retry: deterministic content+path
-
-        return pa.Table.from_pylist(
-            [
-                {
-                    "pid": pid,
-                    "path": path,
-                    "mode": mode,
-                    "rows_live": rows - tombstones,
-                    "tombstones": tombstones,
-                    "bytes": os.path.getsize(path),
-                    "events": n_events,
-                    "retained_path": retained_path,
-                    "zone_stats": json.dumps(zstats),
-                    "patches_discarded": patches_discarded,
-                }
-            ],
-            schema=_META_SCHEMA,
-        )
-
-    return apply_partition
-
-
-# ---------------------------------------------------------------------------
-# Direct hash exchange (raw Ray tasks)
-#
-# The Dataset route (`groupby("pid").map_groups`) is a sort-based all-to-all:
-# sample → sort-map → sort-reduce → apply, four scheduling rounds with a
-# barrier, which measures at <20% CPU utilization for epoch-sized inputs on
-# this machine. Since the apply only needs *hash grouping* (never a global
-# order), the exchange is expressible as one map round (a task per segment
-# file, returning P hash-split sub-tables via ``num_returns``) and one
-# reduce round (a task per partition consuming its B pieces) — the classic
-# Ray map-reduce shuffle. Partitioning assumption: B×P object refs per
-# epoch must stay bounded (segments_per_epoch × num_partitions ≲ 1e5); for
-# cluster-scale epochs beyond that, pass ``exchange="sort"`` to use Ray
-# Data's sort shuffle, which consolidates via push-based exchange.
-# ---------------------------------------------------------------------------
-
-
 def _reject_null_keys(t: pa.Table, key_cols, what: str) -> None:
     """Null keys would silently co-group in the hash partitioner and the
     LWW boundary mask treats NaN codes as distinct — refuse the feed
-    instead of committing PK-violating rows (shared by BOTH exchange
-    paths; a malformed feed must fail identically under either)."""
+    instead of committing PK-violating rows."""
     for k in key_cols:
         nc = t.column(k).null_count
         if nc:
@@ -866,7 +722,7 @@ def _dq_gate_changes(
     return t
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _prep_segment_task(
     path: str,
     chg_schema: pa.Schema,
@@ -876,8 +732,10 @@ def _prep_segment_task(
     dq: tuple | None = None,
     transform=None,
 ):
-    """Read one changelog segment, LWW-combine (adaptively), hash-split by
-    the leading key into ``num_partitions`` sub-tables.
+    """Read one changelog segment, LWW-combine (adaptively), and sort it
+    by hash partition of the leading key. Returns two objects: the
+    pid-sorted table and its ``bounds`` (``num_partitions + 1`` row
+    offsets; partition ``p`` owns rows ``[bounds[p], bounds[p+1])``).
 
     The wide ``text`` column is gathered exactly ONCE: survivor selection
     runs on narrow key/order columns only, the hash-partition order is
@@ -943,25 +801,55 @@ def _prep_segment_task(
     order = np.argsort(pid_surv, kind="stable")
     t = t.take(pa.array(surv[order]))  # the single wide gather
     bounds = np.searchsorted(pid_surv[order], np.arange(num_partitions + 1))
-    slices = tuple(
-        t.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(num_partitions)
-    )
-    # with num_returns=1 Ray treats a tuple as ONE value — return the table
-    return slices if num_partitions > 1 else slices[0]
+    return t, bounds
+
+
+def _pack_partitions(loads, max_tasks: int) -> list[list[int]]:
+    """Group the touched partitions (``loads[p] > 0`` rows) into at most
+    ``max_tasks`` reduce tasks: largest load first onto the least-loaded
+    task, so reduce work is sized by measured load, not by partition count
+    (FP-Hadoop, VLDB 2015). Deterministic: equal loads go in pid order."""
+    import heapq
+
+    import numpy as np
+
+    touched = np.flatnonzero(loads)
+    touched = touched[np.argsort(-loads[touched], kind="stable")]
+    groups: list[list[int]] = [[] for _ in range(min(len(touched), max_tasks))]
+    heap = [(0, i) for i in range(len(groups))]
+    for pid in touched.tolist():
+        load, i = heapq.heappop(heap)
+        groups[i].append(pid)
+        heapq.heappush(heap, (load + int(loads[pid]), i))
+    return [sorted(g) for g in groups]
 
 
 @ray.remote
-def _apply_pid_task(ctx: dict, pid: int, key_cols: tuple, *pieces: pa.Table):
-    """Per-partition reduce: concat this partition's pieces from every
-    segment, LWW-reduce, write the delta (or compact) file. Same body
-    semantics as ``make_partition_applier`` — deterministic staged file
-    names keep retries idempotent."""
-    import numpy as np  # noqa: F401
+def _apply_pid_task(ctx: dict, key_cols: tuple, pids: list[int], bounds, *tables: pa.Table):
+    """Reduce task for a load-packed group of partitions. ``tables`` are
+    the epoch's map outputs (one pid-sorted table per segment) and
+    ``bounds`` their stacked row offsets (segments × (P + 1)); each pid's
+    rows are zero-copy slices of every table. Returns one meta per pid.
 
+    The tables travel whole: Ray keeps one copy of an object per node, so
+    a reducer on another node pulls each segment table once per node, not
+    once per reducer."""
     _single_threaded_arrow()
-    parts = [p for p in pieces if p.num_rows]
-    if not parts:
-        return None
+    metas = []
+    for pid in pids:
+        parts = [
+            t.slice(int(lo), int(hi - lo))
+            for t, lo, hi in zip(tables, bounds[:, pid], bounds[:, pid + 1])
+            if hi > lo
+        ]
+        metas.append(_apply_partition(ctx, pid, key_cols, parts))
+    return metas
+
+
+def _apply_partition(ctx: dict, pid: int, key_cols: tuple, parts: list[pa.Table]) -> dict:
+    """One partition's reduce: concat its non-empty pieces, LWW-reduce (or
+    patch-fold), write the delta (or compacted base) file. Deterministic
+    staged file names keep retries idempotent."""
     changes = pa.concat_tables(parts)
     lake_sch = ctx["lake_schema"]
     existing = ctx["part_files"].get(pid, [])
@@ -984,7 +872,9 @@ def _apply_pid_task(ctx: dict, pid: int, key_cols: tuple, *pieces: pa.Table):
     tmp = f"{path}.tmp-{os.getpid()}"
     retained_path = None
     if compacting:
-        # streamed fold (see make_partition_applier): O(chunk) peak memory
+        # compaction: STREAM base+deltas+changes into one base file —
+        # write volume amortizes to changes + table/compact_every per
+        # epoch (LSM merge-on-read), peak memory O(chunk × files)
         rows, tombstones, zstats = _write_merged_stream(
             tmp,
             existing,
@@ -995,6 +885,8 @@ def _apply_pid_task(ctx: dict, pid: int, key_cols: tuple, *pieces: pa.Table):
             ttl=ctx.get("tombstone_ttl_lsn"),
         )
         if ctx.get("retain_changefeed"):
+            # the epoch's changes fold straight into the base, so also
+            # persist them as a retained changefeed delta
             retained_path = os.path.join(
                 out_dir, f"delta-{pid:05d}-{ctx['epoch_id']:012d}.parquet"
             )
@@ -1002,11 +894,13 @@ def _apply_pid_task(ctx: dict, pid: int, key_cols: tuple, *pieces: pa.Table):
             pq.write_table(changes, tmpd)
             os.replace(tmpd, retained_path)
     else:
+        # delta write: the epoch's reduced changes only — apply never
+        # touches existing data outside compaction epochs
         pq.write_table(changes, tmp)
         rows = changes.num_rows
         tombstones = pc.sum(changes.column(DELETED_COL)).as_py() or 0
         zstats = zone.table_stats(changes, _zone_cols(lake_sch))
-    os.replace(tmp, path)
+    os.replace(tmp, path)  # idempotent under retry: deterministic content+path
     return {
         "pid": pid,
         "path": path,
@@ -1202,14 +1096,12 @@ class CDCEngine:
         num_partitions: int = DEFAULT_NUM_PARTITIONS,
         run_context: RunContext | None = None,
         compact_every: int = 4,
-        exchange: str = "ray",  # "ray" (direct hash exchange) | "sort" (Dataset groupby)
         tombstone_ttl_lsn: int | None = None,
         create_if_missing: bool = True,
         changefeed_retention_lsn: int | None | str = INHERIT,
         dq_mode: str | None = None,
         event_transform=None,
         commit_backend=None,
-        auto_sort_refs: int | None = 32_768,
     ):
         self.table_dir = table_dir
         self.spec = spec
@@ -1235,18 +1127,6 @@ class CDCEngine:
         #: a partition compacts when it would exceed this many live files
         #: (merge-on-read depth / write-amplification trade-off)
         self.compact_every = compact_every
-        if exchange not in ("ray", "sort"):
-            raise ValueError(f"exchange must be 'ray' or 'sort', got {exchange!r}")
-        self.exchange = exchange
-        #: direct-exchange ref-matrix guard: an epoch's map round emits
-        #: segments × num_partitions object refs; past this bound the
-        #: scheduler knees (measured: `bench --refmatrix`, BASELINE.md
-        #: round 5) and the epoch auto-routes to the "sort" exchange,
-        #: counted in :attr:`auto_sort_switches` and logged once.
-        #: None disables the auto-switch (always honor ``exchange``).
-        self.auto_sort_refs = auto_sort_refs
-        self.auto_sort_switches = 0
-        self._auto_sort_warned = False
         #: tombstone GC horizon: at compaction, delete-markers whose _lsn is
         #: more than this many LSNs behind the epoch watermark are dropped.
         #: A tombstone only matters while an OLDER event for its key can
@@ -1464,53 +1344,20 @@ class CDCEngine:
         )
 
     def _submit_prep(self, epoch: Epoch, chg_schema: pa.Schema) -> list:
-        """Submit the map round for an epoch (prep tasks are pure — they
-        read immutable segments and never touch the manifest, so pipelined
-        replay may launch them before the previous epoch commits)."""
+        """Submit the map round for an epoch: one ``(table, bounds)`` ref
+        pair per segment. Prep tasks are pure — they read immutable
+        segments and never touch the manifest, so pipelined replay may
+        launch them before the previous epoch commits."""
         num_partitions = self.manifest.num_partitions
         salt_map = self.salt_map
         dq = self._dq_args(epoch.epoch_id)
-        refs = [
-            _prep_segment_task.options(num_returns=num_partitions).remote(
+        return [
+            _prep_segment_task.remote(
                 p, chg_schema, self.key_cols, num_partitions, salt_map, dq,
                 self.event_transform,
             )
             for p in epoch.paths
         ]
-        if num_partitions == 1:  # num_returns=1 yields a bare ref
-            refs = [[r] for r in refs]
-        return refs
-
-    # ------------------------------------------------------------------
-    def _ray_refs_ok(self, n_segments: int) -> bool:
-        """True when an epoch of ``n_segments`` stays within the direct
-        exchange's ref-matrix bound (pure predicate — no counters)."""
-        return (
-            self.auto_sort_refs is None
-            or n_segments * self.manifest.num_partitions <= self.auto_sort_refs
-        )
-
-    def _effective_exchange(self, n_segments: int) -> str:
-        """The exchange an epoch of ``n_segments`` actually uses: "ray"
-        until the ref matrix (segments × partitions) crosses
-        ``auto_sort_refs``, then "sort" — counted and logged, never
-        silent. Callers that prefetched a "ray" map round (pipelined
-        replay/tail) gate on the same bound before prefetching."""
-        if self.exchange != "ray" or self._ray_refs_ok(n_segments):
-            return self.exchange
-        refs = n_segments * self.manifest.num_partitions
-        self.auto_sort_switches += 1
-        if not self._auto_sort_warned:
-            self._auto_sort_warned = True
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "CDCEngine: epoch ref-matrix %d (= %d segments × %d partitions) "
-                "exceeds auto_sort_refs=%d — using the consolidated 'sort' "
-                "exchange for such epochs (see bench --refmatrix / BASELINE.md)",
-                refs, n_segments, self.manifest.num_partitions, self.auto_sort_refs,
-            )
-        return "sort"
 
     def apply_epoch(self, epoch: Epoch, _precomputed: tuple | None = None) -> dict | None:
         """Apply one epoch exactly once. Returns commit info, or ``None`` if
@@ -1534,7 +1381,6 @@ class CDCEngine:
         else:
             chg_schema, new_lake, schema_changes = self._epoch_schemas(epoch)
             pre_prep = None
-        num_partitions = man.num_partitions
         key_cols = self.key_cols
 
         ctx_ref = ray.put(
@@ -1549,77 +1395,25 @@ class CDCEngine:
             }
         )
 
-        use_exchange = (
-            "ray" if pre_prep is not None  # prefetched map round: already routed
-            else self._effective_exchange(len(epoch.segments))
+        import numpy as np
+
+        prep_refs = pre_prep if pre_prep is not None else self._submit_prep(epoch, chg_schema)
+        tables = [table for table, _ in prep_refs]
+        # every reduce task waits on every map task of its epoch anyway, so
+        # fetching the tiny bounds first adds no barrier
+        bounds = np.stack(ray.get([b for _, b in prep_refs]))  # segments × (P + 1)
+        groups = _pack_partitions(
+            (bounds[:, 1:] - bounds[:, :-1]).sum(axis=0),
+            4 * int(ray.cluster_resources().get("CPU", 1)),
         )
-        if use_exchange == "ray":
-            # direct hash exchange: one map task per segment (hash-split by
-            # conv_id via num_returns), one reduce task per partition
-            prep_refs = pre_prep if pre_prep is not None else self._submit_prep(epoch, chg_schema)
-            apply_refs = [
-                _apply_pid_task.remote(
-                    ctx_ref, pid, key_cols, *[refs[pid] for refs in prep_refs]
-                )
-                for pid in range(num_partitions)
-            ]
-            metas = [m for m in ray.get(apply_refs) if m is not None]
-        else:
-            salt_map = self.salt_map
-            dq = self._dq_args(epoch.epoch_id)
-            transform = self.event_transform
-
-            def prep(batch: pa.Table) -> pa.Table:
-                _single_threaded_arrow()
-                if transform is not None:
-                    batch = transform(batch)
-                batch = normalize_table(batch, chg_schema)
-                _reject_null_keys(batch, key_cols, "changelog batch")
-                if dq is not None:
-                    mode, checks, failure_dir, table_name, rc, epoch_id = dq
-                    import uuid
-
-                    batch = _dq_gate_changes(
-                        batch, checks, mode, failure_dir, table_name, key_cols,
-                        f"epoch-{epoch_id:012d}-{uuid.uuid4().hex}", rc,
-                    )
-                if _has_patches(batch):
-                    # patch keys route unreduced (reduce-side exact fold);
-                    # everything else still combines — see _prep_segment_task
-                    codes = _pair_codes(batch, key_cols)
-                    member = pc.is_in(
-                        codes,
-                        value_set=pc.unique(
-                            pc.filter(codes, pc.equal(batch.column("op"), "P"))
-                        ),
-                    )
-                    batch = pa.concat_tables(
-                        [
-                            lww_reduce(
-                                batch.filter(pc.invert(member)),
-                                key_cols,
-                                _lww_order(chg_schema, "lsn"),
-                            ),
-                            batch.filter(member),
-                        ]
-                    )
-                else:
-                    batch = lww_reduce(batch, key_cols, _lww_order(chg_schema, "lsn"))  # shuffle combiner
-                pid = salted_partition_ids(batch, key_cols, num_partitions, salt_map)
-                return batch.append_column("pid", pa.array(pid, pa.int64()))
-
-            # segment files are typically far below the 128 MiB block
-            # target, so the default read yields one block per file and the
-            # prep stage's parallelism would be capped at len(paths) — far
-            # below the CPU count. Split the read so every core gets work.
-            n_cpus = int(ray.cluster_resources().get("CPU", 8))
-            blocks = max(len(epoch.paths), 2 * n_cpus)
-            ds = ray.data.read_parquet(epoch.paths, override_num_blocks=blocks)
-            ds = ds.map_batches(prep, batch_format="pyarrow")
-            metas_ds = ds.groupby("pid").map_groups(
-                make_partition_applier(ctx_ref, key_cols), batch_format="pyarrow"
-            )
-            metas = metas_ds.take_all()  # one small row per touched partition
+        bounds_ref = ray.put(bounds)
+        apply_refs = [
+            _apply_pid_task.remote(ctx_ref, key_cols, pids, bounds_ref, *tables)
+            for pids in groups
+        ]
+        metas = sorted(
+            (m for group in ray.get(apply_refs) for m in group), key=lambda m: m["pid"]
+        )
 
         # raw change-event count for throughput accounting. Segment names
         # carry their LSN range; ranges are dense for engine-written logs
@@ -1653,11 +1447,7 @@ class CDCEngine:
         for m in metas:
             pid = int(m["pid"])
             prev = new_man.partitions.get(pid)
-            # zone-map stats ride the meta row: a dict from the direct
-            # exchange, JSON text from the sort exchange's Arrow meta table
-            zstats = m.get("zone_stats")
-            if isinstance(zstats, str):
-                zstats = json.loads(zstats) if zstats else {}
+            zstats = m["zone_stats"]
             if m["mode"] == "base" or prev is None:
                 if prev is not None:
                     self._retire_deltas(new_man, prev.files)
@@ -1729,7 +1519,7 @@ class CDCEngine:
         """Apply all not-yet-committed epochs; resumes from the manifest
         watermark (FIXTURES.md F6).
 
-        ``pipelined=True`` (ray exchange only) overlaps epoch N+1's map
+        ``pipelined=True`` overlaps epoch N+1's map
         round with epoch N's reduce+commit — the "keep tailing the binlog
         while applying" shape of a continuous ingester. Safe because prep
         tasks are pure (immutable segments, no manifest reads) and the
@@ -1746,9 +1536,7 @@ class CDCEngine:
         stats = ReplayStats()
         t0 = time.perf_counter()
         epochs = changelog.epochs(segments_per_epoch, after_lsn=self.manifest.applied_lsn)
-        if not (
-            pipelined and self.exchange == "ray" and self._ray_refs_ok(segments_per_epoch)
-        ):
+        if not pipelined:
             for epoch in epochs:
                 info = self.apply_epoch(epoch)
                 if info is None:
@@ -1831,7 +1619,7 @@ class CDCEngine:
         that many CONSECUTIVE empty polls (drain-then-exit for batch
         catch-up jobs). ``replay_kw`` forwards to :meth:`replay`.
 
-        ``pipelined=True`` (ray exchange) pipelines ACROSS poll
+        ``pipelined=True`` pipelines ACROSS poll
         boundaries, not just within one replay: while epoch N applies,
         the tailer re-lists the log and prefetches the map round of
         whatever segment arrived in the meantime — a fast producer never
@@ -1840,11 +1628,7 @@ class CDCEngine:
         visible at prefetch time), which is already the resume contract —
         exactly-once is by watermark, never by boundary. Returns the
         aggregate stats over all polls."""
-        if (
-            replay_kw.get("pipelined")
-            and self.exchange == "ray"
-            and self._ray_refs_ok(replay_kw.get("segments_per_epoch", 4))
-        ):
+        if replay_kw.get("pipelined"):
             kw = dict(replay_kw)
             kw.pop("pipelined")
             return self._tail_pipelined(

@@ -153,8 +153,8 @@ def _view_partition_task(body, ctx: dict, item: dict) -> dict:
 
 def _run_partitions(body, ctx: dict, items: list[dict]) -> list[dict]:
     """One round of direct tasks, one per touched partition, sharing ONE
-    ``ray.put`` context — the lake reduce's dispatch shape
-    (``cdc._apply_pid_task``), so an advance costs in proportion to the
+    ``ray.put`` context; like the lake reduce (``cdc._apply_pid_task``) it
+    skips untouched partitions, so an advance costs in proportion to the
     partitions it touches. Returns the O(touched partitions) meta dicts."""
     ctx_ref = ray.put(ctx)
     return ray.get([_view_partition_task.remote(body, ctx_ref, it) for it in items])

@@ -237,8 +237,8 @@ def _split_side_task(
 ):
     """Map round: normalize a GROUP of blocks onto its side's slim schema
     (payload + ``_key``/``_t``) and hash-split the concatenation by key
-    into ``num_buckets`` sub-tables (``num_returns=num_buckets``) — the
-    cdc.py ``_prep_segment_task`` shape. Grouping matters: Ray Data reads
+    into ``num_buckets`` sub-tables (``num_returns=num_buckets``).
+    Grouping matters: Ray Data reads
     split small tables into dozens of tiny blocks, and one split task per
     tiny block × one return per bucket made scheduling (not compute) the
     cost — 64-block × 64-block inputs measured 16k shuffle refs of

@@ -1,38 +1,109 @@
-"""Both exchange implementations produce identical committed state, and
-compaction composes with mid-replay schema evolution."""
+"""The direct hash exchange: committed state equals the dict oracle at
+any partition count (load-packed reduce tasks, untouched partitions
+skipped), and compaction composes with mid-replay schema evolution."""
+
+import os
 
 import pyarrow as pa
 import pytest
 
-from etl_framework_ray.pipelines.cdc import CDCEngine
+from etl_framework_ray.pipelines.cdc import CDCEngine, _pack_partitions
 from etl_framework_ray.sources.changelog import ChangeLog
 from etl_framework_ray.sources.generator import GenConfig, generate_changelog, oracle_replay
 
 
+def _assert_matches_oracle(eng, log):
+    oracle = oracle_replay(log)
+    got = eng.snapshot_arrow().to_pylist()
+    keys = [(r["conv_id"], r["turn_idx"]) for r in got]
+    assert len(set(keys)) == len(keys) == len(oracle)
+    for r in got:
+        exp = oracle[(r["conv_id"], r["turn_idx"])]
+        for c in ("text", "role", "tool", "ts"):
+            assert r[c] == exp[c], (r["conv_id"], r["turn_idx"], c)
+
+
 @pytest.mark.usefixtures("ray_session")
-def test_sort_exchange_equals_ray_exchange(tmp_path):
+def test_exchange_matches_oracle_per_key(tmp_path):
     log = generate_changelog(GenConfig(num_events=4000, num_conversations=80, seed=21))
     clog = ChangeLog(str(tmp_path / "log"))
     clog.write_segments(log, segment_rows=1000)
 
-    a = CDCEngine(str(tmp_path / "a"), num_partitions=4, exchange="ray")
-    a.replay(clog, segments_per_epoch=2)
-    b = CDCEngine(str(tmp_path / "b"), num_partitions=4, exchange="sort")
-    b.replay(clog, segments_per_epoch=2)
-
-    assert a.snapshot_arrow().equals(b.snapshot_arrow())
-    oracle = oracle_replay(log)
-    assert a.snapshot_arrow().num_rows == len(oracle)
+    eng = CDCEngine(str(tmp_path / "a"), num_partitions=4)
+    eng.replay(clog, segments_per_epoch=2)
+    _assert_matches_oracle(eng, log)
 
 
-def test_invalid_exchange_rejected(tmp_path):
-    with pytest.raises(ValueError, match="exchange"):
-        CDCEngine(str(tmp_path / "x"), exchange="bogus")
+def test_pack_partitions_largest_first_onto_least_loaded():
+    import numpy as np
+
+    loads = np.array([0, 5, 3, 0, 3, 1])
+    # 1 (5) → task 0; 2 (3) → task 1; 4 (3) → task 1 (3 < 5); 5 (1) → task 0 (5 < 6)
+    assert _pack_partitions(loads, 2) == [[1, 5], [2, 4]]
+    assert _pack_partitions(loads, 16) == [[1], [2], [4], [5]]
+    assert _pack_partitions(np.zeros(4, dtype=np.int64), 2) == []
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("exchange", ["ray", "sort"])
-def test_null_key_feed_rejected(tmp_path, exchange):
+def test_packed_reduce_matches_oracle(tmp_path):
+    """64 partitions on a 4-CPU session get at most 16 reduce tasks, so
+    several partitions share one task; state still equals the oracle, as
+    it does at the degenerate single partition."""
+    import ray
+
+    log = generate_changelog(
+        GenConfig(num_events=6000, num_conversations=300, seed=5, hot_key_frac=0.2,
+                  delete_frac=0.1, out_of_order=True)
+    )
+    clog = ChangeLog(str(tmp_path / "log"))
+    clog.write_segments(log, segment_rows=500)
+    eng = CDCEngine(str(tmp_path / "tbl"), num_partitions=64, compact_every=2)
+
+    epoch = clog.epochs(4)[0]
+    refs = eng._submit_prep(epoch, eng._epoch_schemas(epoch)[0])
+    assert len(refs) == len(epoch.paths)
+    for table_ref, bounds_ref in refs:
+        table, bounds = ray.get([table_ref, bounds_ref])
+        assert len(bounds) == 65 and bounds[0] == 0 and bounds[-1] == table.num_rows
+        assert (bounds[1:] >= bounds[:-1]).all()
+
+    eng.replay(clog, segments_per_epoch=4)
+    assert len(eng.manifest.partitions) > 4 * ray.cluster_resources()["CPU"]
+    _assert_matches_oracle(eng, log)
+
+    one = CDCEngine(str(tmp_path / "one"), num_partitions=1, compact_every=2)
+    one.replay(clog, segments_per_epoch=4, pipelined=True)
+    _assert_matches_oracle(one, log)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_untouched_partition_gets_no_file_or_lineage(tmp_path):
+    from etl_framework_ray.functions.hashing import salted_partition_ids
+    from etl_framework_ray.pipelines.metrics import read_metrics
+
+    log = generate_changelog(GenConfig(num_events=600, num_conversations=3, seed=9))
+    clog = ChangeLog(str(tmp_path / "log"))
+    clog.write_segments(log, segment_rows=200)
+    eng = CDCEngine(str(tmp_path / "tbl"), num_partitions=64)
+    eng.replay(clog, segments_per_epoch=2)
+    _assert_matches_oracle(eng, log)
+
+    touched = set(salted_partition_ids(log, eng.key_cols, 64).tolist())
+    assert 0 < len(touched) <= 3
+    assert set(eng.manifest.partitions) == touched
+    written = {int(d.split("=")[1]) for d in os.listdir(os.path.join(eng.table_dir, "data"))}
+    assert written == touched
+    assert set(read_metrics(eng.table_dir).column("partition").to_pylist()) == touched
+
+
+def test_removed_exchange_options_fail_loud(tmp_path):
+    for kw in ({"exchange": "sort"}, {"auto_sort_refs": None}):
+        with pytest.raises(TypeError, match=next(iter(kw))):
+            CDCEngine(str(tmp_path / "x"), **kw)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_null_key_feed_rejected(tmp_path):
     import pyarrow.parquet as pq
 
     from etl_framework_ray.sources.generator import CHANGELOG_SCHEMA
@@ -49,7 +120,7 @@ def test_null_key_feed_rejected(tmp_path, exchange):
     clog = ChangeLog(str(tmp_path / "log"))
     path = str(tmp_path / "log" / "segment-000000000001-000000000002.parquet")
     pq.write_table(bad, path)
-    eng = CDCEngine(str(tmp_path / "tbl"), num_partitions=2, exchange=exchange)
+    eng = CDCEngine(str(tmp_path / "tbl"), num_partitions=2)
     with pytest.raises(Exception, match="NULL values in key column"):
         eng.replay(clog)
 
@@ -102,70 +173,3 @@ def test_compaction_composes_with_schema_evolution(tmp_path):
     for r in got:
         exp = oracle[(r["conv_id"], r["turn_idx"])]
         assert r["text"] == exp["text"] and r["tool"] == exp["tool"]
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_auto_sort_switch_past_ref_bound(tmp_path):
-    """An epoch whose ref matrix (segments × partitions) exceeds
-    auto_sort_refs must route through the 'sort' exchange — counted,
-    state identical to the pure-ray engine; pipelined replay respects
-    the same bound (no prefetched ray map round sneaks past it)."""
-    log = generate_changelog(GenConfig(num_events=4000, num_conversations=80, seed=21))
-    clog = ChangeLog(str(tmp_path / "log"))
-    clog.write_segments(log, segment_rows=1000)  # 4 segments
-
-    ref = CDCEngine(str(tmp_path / "ref"), num_partitions=4, auto_sort_refs=None)
-    ref.replay(clog, segments_per_epoch=2)
-    assert ref.auto_sort_switches == 0
-
-    # 2 segments × 4 partitions = 8 refs > bound of 7 → every epoch sorts
-    a = CDCEngine(str(tmp_path / "a"), num_partitions=4, auto_sort_refs=7)
-    a.replay(clog, segments_per_epoch=2, pipelined=True)
-    assert a.auto_sort_switches == 2
-    assert a.snapshot_arrow().equals(ref.snapshot_arrow())
-
-    # under the bound: stays on the direct exchange
-    b = CDCEngine(str(tmp_path / "b"), num_partitions=4, auto_sort_refs=8)
-    b.replay(clog, segments_per_epoch=2)
-    assert b.auto_sort_switches == 0
-    assert b.snapshot_arrow().equals(ref.snapshot_arrow())
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_sort_exchange_parity_event_transform_and_multisource(tmp_path):
-    """The sort exchange (now the auto-selected path past the ref-matrix
-    bound) must agree with the direct exchange on the two remaining
-    feature planes it lacked parity tests for: the map-side event
-    transform (SCD2 history envelope) and the multi-source merged feed."""
-    from etl_framework_ray.pipelines.history import HistoryTable
-    from etl_framework_ray.sources.multisource import MultiSourceFeed
-
-    log = generate_changelog(
-        GenConfig(num_events=5000, num_conversations=100, seed=33, out_of_order=True)
-    )
-    clog = ChangeLog(str(tmp_path / "log"))
-    clog.write_segments(log, segment_rows=1000)
-
-    # event_transform (history envelope) under both exchanges
-    ha = HistoryTable(str(tmp_path / "ha"), num_partitions=4, exchange="ray")
-    ha.replay(clog, segments_per_epoch=2)
-    hb = HistoryTable(str(tmp_path / "hb"), num_partitions=4, exchange="sort")
-    hb.replay(clog, segments_per_epoch=2)
-    assert ha.read_arrow().equals(hb.read_arrow())
-
-    # multisource merged feed under both exchanges
-    n = log.num_rows
-    shard_a = ChangeLog(str(tmp_path / "sa"))
-    shard_a.write_segments(log.slice(0, n // 2), segment_rows=700)
-    shard_b = ChangeLog(str(tmp_path / "sb"))
-    shard_b.write_segments(log.slice(n // 2), segment_rows=700)
-    outs = []
-    for mode in ("ray", "sort"):
-        feed = MultiSourceFeed(
-            [str(tmp_path / "sa"), str(tmp_path / "sb")],
-            str(tmp_path / f"merged_{mode}"),
-        )
-        eng = CDCEngine(str(tmp_path / f"ms_{mode}"), num_partitions=4, exchange=mode)
-        eng.replay(feed, segments_per_epoch=2)
-        outs.append(eng.snapshot_arrow())
-    assert outs[0].equals(outs[1])

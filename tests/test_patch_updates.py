@@ -60,8 +60,7 @@ def _state(eng) -> dict:
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("exchange", ["ray", "sort"])
-def test_generated_patch_replay_matches_oracle(tmp_path, exchange):
+def test_generated_patch_replay_matches_oracle(tmp_path):
     cfg = GenConfig(
         num_events=6000, seed=47, patch_frac=0.25, hot_key_frac=0.2, out_of_order=True
     )
@@ -74,7 +73,6 @@ def test_generated_patch_replay_matches_oracle(tmp_path, exchange):
     eng = CDCEngine(
         str(tmp_path / "lake" / "transcripts"),
         num_partitions=8,
-        exchange=exchange,
         compact_every=2,  # patches must survive compaction folds too
     )
     eng.replay(clog, segments_per_epoch=2)

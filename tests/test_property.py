@@ -254,24 +254,18 @@ def test_replication_chain_always_matches_view(tmp_path_factory, windows):
     segment_rows=st.sampled_from([5, 13, 40]),
     num_partitions=st.sampled_from([1, 4]),
     split_frac=st.sampled_from([0.25, 0.5, 0.9]),
-    auto_sort_refs=st.sampled_from([None, 3]),
 )
 def test_pipelined_tail_always_matches_oracle(
-    tmp_path_factory, events, segment_rows, num_partitions, split_frac, auto_sort_refs
+    tmp_path_factory, events, segment_rows, num_partitions, split_frac
 ):
     """The cross-poll pipelined tail converges to the dict oracle for ANY
-    feed, segmentation, partition count, arrival split, and ref-matrix
-    bound (auto_sort_refs=3 forces every multi-ref epoch through the sort
-    exchange mid-tail; the bound also disables prefetch — both paths must
-    agree with the oracle)."""
+    feed, segmentation, partition count and arrival split."""
     tmp = tmp_path_factory.mktemp("ptail")
     log = _to_table(events)
     cut = max(1, int(log.num_rows * split_frac))
     clog = ChangeLog(str(tmp / "log"))
     clog.write_segments(log.slice(0, cut), segment_rows=segment_rows)
-    eng = CDCEngine(
-        str(tmp / "tbl"), num_partitions=num_partitions, auto_sort_refs=auto_sort_refs
-    )
+    eng = CDCEngine(str(tmp / "tbl"), num_partitions=num_partitions)
     eng.tail(clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=2, pipelined=True)
     if cut < log.num_rows:
         clog.write_segments(log.slice(cut), segment_rows=segment_rows)
@@ -286,5 +280,5 @@ def test_pipelined_tail_always_matches_oracle(
         exp = oracle[(r["conv_id"], r["turn_idx"])]
         assert r["text"] == exp["text"]
         assert r["ts"] == exp["ts"]
-    # re-tailing is a no-op regardless of the exchange taken
+    # re-tailing is a no-op
     assert eng.tail(clog, poll_s=0, idle_stop_polls=1, pipelined=True).events == 0

@@ -64,16 +64,14 @@ ROWS = [
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("exchange", ["ray", "sort"])
-def test_quarantine_drops_error_rows_and_exempts_deletes(tmp_path, exchange):
+def test_quarantine_drops_error_rows_and_exempts_deletes(tmp_path):
     clog = ChangeLog(str(tmp_path / "log"))
     clog.write_segments(_log(ROWS), segment_rows=3)
     eng = CDCEngine(
-        str(tmp_path / f"tbl_{exchange}"),
+        str(tmp_path / "tbl"),
         spec=SPEC,
         num_partitions=2,
         dq_mode="quarantine",
-        exchange=exchange,
     )
     eng.replay(clog, segments_per_epoch=2)
     snap = eng.snapshot_arrow()

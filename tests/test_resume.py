@@ -98,6 +98,7 @@ def test_apply_task_retry_is_idempotent(tmp_path):
     epoch's task changes nothing."""
     import os
 
+    import numpy as np
     import pyarrow.parquet as pq
     import ray as _ray
 
@@ -125,12 +126,12 @@ def test_apply_task_retry_is_idempotent(tmp_path):
         }
     )
     prep = [
-        _prep_segment_task.options(num_returns=2).remote(p, chg_schema, eng.key_cols, 2, {})
-        for p in epoch.paths
+        _prep_segment_task.remote(p, chg_schema, eng.key_cols, 2, {}) for p in epoch.paths
     ]
+    bounds = np.stack(_ray.get([b for _, b in prep]))
     run = lambda pid: _ray.get(
-        _apply_pid_task.remote(ctx_ref, pid, eng.key_cols, *[r[pid] for r in prep])
-    )
+        _apply_pid_task.remote(ctx_ref, eng.key_cols, [pid], bounds, *[t for t, _ in prep])
+    )[0]
     first = run(0)
     content_1 = open(first["path"], "rb").read()
     second = run(0)  # the "retry"
