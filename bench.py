@@ -253,10 +253,7 @@ def run_bench() -> dict:
         lake = tempfile.mkdtemp(prefix="etl_bench_lake_")
         eng = CDCEngine(os.path.join(lake, "transcripts"), num_partitions=64)
         t0 = time.perf_counter()
-        # pipelined: epoch N+1's map round overlaps epoch N's reduce+commit,
-        # making fine-grained exactly-once checkpoints (~2M events/epoch)
-        # nearly free (measured: spe=4 pipelined ≈ spe=8 sequential)
-        s = eng.replay(ChangeLog(clog_dir), segments_per_epoch=4, pipelined=True)
+        s = eng.replay(ChangeLog(clog_dir), segments_per_epoch=4)
         sec = time.perf_counter() - t0
         attempts.append(round(sec, 3))
         if headline_sec is None or sec < headline_sec:
@@ -406,8 +403,7 @@ def run_soak() -> dict:
             **{k: v for k, v in kw.items() if k != "replay"},
         )
         t0 = time.perf_counter()
-        eng.replay(ChangeLog(clog_dir), segments_per_epoch=4, pipelined=True,
-                   **(kw.get("replay") or {}))
+        eng.replay(ChangeLog(clog_dir), segments_per_epoch=4, **(kw.get("replay") or {}))
         sec = time.perf_counter() - t0
         rows = eng.snapshot().count()
         retained = len(eng.manifest.properties.get("retained_deltas", []))
@@ -507,7 +503,7 @@ def run_patch() -> dict:
             lake = tempfile.mkdtemp(prefix=f"etl_patch_{int(patch_frac*100)}_")
             eng = CDCEngine(os.path.join(lake, "transcripts"), num_partitions=64)
             t0 = time.perf_counter()
-            eng.replay(ChangeLog(clog_dir), segments_per_epoch=4, pipelined=True)
+            eng.replay(ChangeLog(clog_dir), segments_per_epoch=4)
             sec = time.perf_counter() - t0
             discarded = sum(
                 int(h.get("patches_discarded") or 0) for h in eng.manifest.history
@@ -581,7 +577,7 @@ def run_chain_soak() -> dict:
             os.symlink(os.path.join(clog_dir, f), os.path.join(staged, f))
             eng.tail(
                 ChangeLog(staged), poll_s=0, idle_stop_polls=1,
-                segments_per_epoch=1, pipelined=True, views=[view],
+                segments_per_epoch=1, views=[view],
             )
             if i == 0:
                 con.seed_from_view()
@@ -657,7 +653,7 @@ def run_ivm() -> dict:
         if f.startswith("segment-"):
             os.symlink(os.path.join(clog_dir, f), os.path.join(clog.log_dir, f))
     t0 = time.perf_counter()
-    eng.replay(clog, segments_per_epoch=4, pipelined=True)
+    eng.replay(clog, segments_per_epoch=4)
     replay_sec = time.perf_counter() - t0
 
     out: dict = {

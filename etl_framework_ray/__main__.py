@@ -1,7 +1,7 @@
 """CLI job runner — the engine's analogue of the reference's scheduled job
 entries (databricks/jobs/*.yml → spark_python_task main()s).
 
-    python -m etl_framework_ray replay   --log DIR --table DIR [--partitions N] [--epoch-segments K] [--pipelined]
+    python -m etl_framework_ray replay   --log DIR --table DIR [--partitions N] [--epoch-segments K]
     python -m etl_framework_ray snapshot --table DIR [--version V] [--out DIR]
     python -m etl_framework_ray publish  --table DIR --out DIR
     python -m etl_framework_ray changes  --table DIR --since LSN
@@ -156,7 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     pr.add_argument("--table", required=True)
     pr.add_argument("--partitions", type=int, default=32)
     pr.add_argument("--epoch-segments", type=int, default=4)
-    pr.add_argument("--pipelined", action="store_true")
     pr.add_argument(
         "--dq-mode",
         choices=("quarantine", "error"),
@@ -183,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     pt.add_argument("--table", required=True)
     pt.add_argument("--partitions", type=int, default=32)
     pt.add_argument("--epoch-segments", type=int, default=4)
-    pt.add_argument("--pipelined", action="store_true")
     pt.add_argument("--poll-s", type=float, default=2.0)
     pt.add_argument(
         "--dq-mode", choices=("quarantine", "error"), default=None,
@@ -588,11 +586,7 @@ def main(argv: list[str] | None = None) -> int:
             args.table, num_partitions=args.partitions,
             changefeed_retention_lsn=retention, dq_mode=args.dq_mode,
         )
-        stats = eng.replay(
-            ChangeLog(args.log),
-            segments_per_epoch=args.epoch_segments,
-            pipelined=args.pipelined,
-        )
+        stats = eng.replay(ChangeLog(args.log), segments_per_epoch=args.epoch_segments)
         print(
             json.dumps(
                 {
@@ -648,7 +642,6 @@ def main(argv: list[str] | None = None) -> int:
             max_polls=args.max_polls,
             idle_stop_polls=args.idle_stop,
             segments_per_epoch=args.epoch_segments,
-            pipelined=args.pipelined,
             views=views,
         )
         print(

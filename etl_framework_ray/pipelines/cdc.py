@@ -1284,9 +1284,25 @@ class CDCEngine:
                 [floor] + [int(e["epoch_id"]) for e in entries]
             )
 
-    def _public_schema(self) -> pa.Schema:
-        lake = self.manifest.schema
+    def _public_schema(self, lake: pa.Schema | None = None) -> pa.Schema:
+        """``lake`` (default: the committed schema) minus bookkeeping columns."""
+        lake = self.manifest.schema if lake is None else lake
         return pa.schema([f for f in lake if f.name not in (LSN_COL, DELETED_COL)])
+
+    def _resolve_manifest(self, version: int | None, as_of_ts: float | None) -> Manifest:
+        """The manifest a read targets: the committed one, an explicit
+        ``version``, or the newest version committed at or before
+        ``as_of_ts`` (mutually exclusive with ``version``)."""
+        if as_of_ts is not None:
+            if version is not None:
+                raise ValueError("pass version or as_of_ts, not both")
+            version = self.store.version_at(as_of_ts)
+            if version is None:
+                raise ValueError(
+                    f"no version of {self.table_dir!r} was committed at or "
+                    f"before ts={as_of_ts}"
+                )
+        return self.manifest if version is None else self.store.load(version)
 
     def _epoch_schemas(
         self, epoch: Epoch, public_schema: pa.Schema | None = None
@@ -1296,7 +1312,7 @@ class CDCEngine:
         Returns ``(changelog_schema, new_lake_schema, changes)`` where
         changelog_schema = envelope + evolved payload columns.
         ``public_schema`` overrides the manifest's current public schema —
-        pipelined replay plans epoch N+1 against the schema epoch N will
+        the epoch driver plans epoch N+1 against the schema epoch N will
         commit (evolution is schema-deterministic, independent of data).
         """
         for p in epoch.paths:
@@ -1346,7 +1362,7 @@ class CDCEngine:
     def _submit_prep(self, epoch: Epoch, chg_schema: pa.Schema) -> list:
         """Submit the map round for an epoch: one ``(table, bounds)`` ref
         pair per segment. Prep tasks are pure — they read immutable
-        segments and never touch the manifest, so pipelined replay may
+        segments and never touch the manifest, so the epoch driver may
         launch them before the previous epoch commits."""
         num_partitions = self.manifest.num_partitions
         salt_map = self.salt_map
@@ -1363,7 +1379,7 @@ class CDCEngine:
         """Apply one epoch exactly once. Returns commit info, or ``None`` if
         the epoch is already committed (resume / duplicate delivery).
 
-        ``_precomputed`` (pipelined replay): ``(schemas_triple, prep_refs)``
+        ``_precomputed`` (the epoch driver): ``(schemas_triple, prep_refs)``
         produced by ``_epoch_schemas``/``_submit_prep`` for THIS epoch."""
         man = self.manifest
         if not self.key_cols:
@@ -1513,78 +1529,18 @@ class CDCEngine:
         changelog: ChangeLog,
         segments_per_epoch: int = 4,
         vacuum: bool = True,
-        pipelined: bool = False,
+        pipelined: bool = True,
         auto_mitigate_skew: bool = False,
     ) -> ReplayStats:
         """Apply all not-yet-committed epochs; resumes from the manifest
-        watermark (FIXTURES.md F6).
-
-        ``pipelined=True`` overlaps epoch N+1's map
-        round with epoch N's reduce+commit — the "keep tailing the binlog
-        while applying" shape of a continuous ingester. Safe because prep
-        tasks are pure (immutable segments, no manifest reads) and the
-        schema for N+1 is computable from the schema N WILL commit
-        (evolution is schema-deterministic); commits stay strictly
-        serialized, so exactly-once semantics are unchanged.
-
-        ``auto_mitigate_skew=True`` runs :meth:`mitigate_skew` after each
-        committed epoch (inspecting just that epoch's lineage metrics):
-        hot keys detected in epoch N are salted + migrated before epoch
-        N+1 routes. In pipelined mode a successful mitigation invalidates
-        the prefetched map round (it was routed with the old salt map)
-        and re-submits it."""
-        stats = ReplayStats()
-        t0 = time.perf_counter()
-        epochs = changelog.epochs(segments_per_epoch, after_lsn=self.manifest.applied_lsn)
-        if not pipelined:
-            for epoch in epochs:
-                info = self.apply_epoch(epoch)
-                if info is None:
-                    stats.epochs_skipped += 1
-                else:
-                    stats.epochs_applied += 1
-                    stats.events += info["events"]
-                    stats.schema_changes.extend(info["schema_changes"])
-                    if auto_mitigate_skew:
-                        self.mitigate_skew(epoch_id=epoch.epoch_id)
-        else:
-            public = self._public_schema()
-            pending: tuple | None = None
-            for i, epoch in enumerate(epochs):
-                if pending is None:
-                    schemas = self._epoch_schemas(epoch, public)
-                    prep = self._submit_prep(epoch, schemas[0])
-                else:
-                    schemas, prep = pending
-                # the public schema AFTER this epoch commits (new_lake minus
-                # the internal bookkeeping columns)
-                next_public = pa.schema(
-                    [f for f in schemas[1] if f.name not in (LSN_COL, DELETED_COL)]
-                )
-                if i + 1 < len(epochs):  # prefetch window = 1 epoch
-                    nxt = epochs[i + 1]
-                    nschemas = self._epoch_schemas(nxt, next_public)
-                    pending = (nschemas, self._submit_prep(nxt, nschemas[0]))
-                else:
-                    pending = None
-                info = self.apply_epoch(epoch, _precomputed=(schemas, prep))
-                public = next_public
-                if info is None:
-                    stats.epochs_skipped += 1
-                else:
-                    stats.epochs_applied += 1
-                    stats.events += info["events"]
-                    stats.schema_changes.extend(info["schema_changes"])
-                    if auto_mitigate_skew and self.mitigate_skew(epoch_id=epoch.epoch_id):
-                        if pending is not None:
-                            # prefetched prep routed with the pre-salt map;
-                            # re-submit so the hot key lands salted
-                            nschemas, _stale = pending
-                            pending = (nschemas, self._submit_prep(epochs[i + 1], nschemas[0]))
-        stats.seconds = time.perf_counter() - t0
-        if vacuum and stats.epochs_applied:
-            self.store.vacuum(self.manifest)
-        return stats
+        watermark (FIXTURES.md F6). One poll of :meth:`tail`: a single
+        listing, drained with epoch N+1's map round overlapping epoch N's
+        reduce+commit."""
+        return self.tail(
+            changelog, poll_s=0, max_polls=1,
+            segments_per_epoch=segments_per_epoch, vacuum=vacuum,
+            pipelined=pipelined, auto_mitigate_skew=auto_mitigate_skew,
+        )
 
     # ------------------------------------------------------------------
     def tail(
@@ -1594,116 +1550,67 @@ class CDCEngine:
         max_polls: int | None = None,
         idle_stop_polls: int | None = None,
         views: list | None = None,
-        **replay_kw,
-    ) -> ReplayStats:
-        """Continuously FOLLOW the changelog: poll for segments past the
-        manifest watermark and apply them — the long-running "tail the
-        binlog" deployment shape (the north-star's continuous ingester;
-        each poll is one exactly-once :meth:`replay`, so a killed tailer
-        resumes from the last committed epoch like any other run).
-
-        ``views``: maintained views (``pipelines.incremental``) to
-        ``advance()`` after every poll that applied epochs — the one-call
-        "live binlog → fresh materialized views" loop. Advancing inside
-        the poll keeps each view within the changefeed retention horizon
-        by construction (it can never lag more than one poll of epochs),
-        which is the deployment shape the horizon contract assumes. A
-        view advance failure propagates (fail-loud: the tailer's owner
-        must decide between ``rebuild()`` and dropping the view) —
-        the LAKE epochs it follows are already durably committed, so a
-        restarted tailer resumes and the view recovers on its next
-        advance.
-
-        Stop conditions (both optional; pass neither to follow forever):
-        ``max_polls`` bounds total polls, ``idle_stop_polls`` stops after
-        that many CONSECUTIVE empty polls (drain-then-exit for batch
-        catch-up jobs). ``replay_kw`` forwards to :meth:`replay`.
-
-        ``pipelined=True`` pipelines ACROSS poll
-        boundaries, not just within one replay: while epoch N applies,
-        the tailer re-lists the log and prefetches the map round of
-        whatever segment arrived in the meantime — a fast producer never
-        stalls the poll cycle behind reduce+commit. Epoch boundaries may
-        differ from the serial tail (an epoch forms from the segments
-        visible at prefetch time), which is already the resume contract —
-        exactly-once is by watermark, never by boundary. Returns the
-        aggregate stats over all polls."""
-        if replay_kw.get("pipelined"):
-            kw = dict(replay_kw)
-            kw.pop("pipelined")
-            return self._tail_pipelined(
-                changelog, poll_s, max_polls, idle_stop_polls, views, **kw
-            )
-        total = ReplayStats()
-        polls = idle = 0
-        while True:
-            stats = self.replay(changelog, **replay_kw)
-            total.epochs_applied += stats.epochs_applied
-            total.epochs_skipped += stats.epochs_skipped
-            total.events += stats.events
-            total.seconds += stats.seconds
-            total.schema_changes.extend(stats.schema_changes)
-            if stats.epochs_applied and views:
-                for v in views:
-                    v.advance()
-            polls += 1
-            idle = 0 if stats.epochs_applied else idle + 1
-            if max_polls is not None and polls >= max_polls:
-                return total
-            if idle_stop_polls is not None and idle >= idle_stop_polls:
-                return total
-            if poll_s > 0:
-                time.sleep(poll_s)
-
-    def _tail_pipelined(
-        self,
-        changelog: ChangeLog,
-        poll_s: float,
-        max_polls: int | None,
-        idle_stop_polls: int | None,
-        views: list | None,
+        *,
         segments_per_epoch: int = 4,
         vacuum: bool = True,
+        pipelined: bool = True,
         auto_mitigate_skew: bool = False,
     ) -> ReplayStats:
-        """The cross-poll pipelined tail loop (see :meth:`tail`): one
-        persistent prefetch window that survives poll boundaries. The
-        re-list while an epoch applies is what removes the serial tail's
-        bubble (apply → sleep → list → prep from cold); commits stay
-        strictly serialized through :meth:`apply_epoch`, so exactly-once
-        and crash-resume semantics are identical to the serial loop.
-        A poll = one listing attempt (queue-empty at the loop top, or the
-        in-flight re-list that found fresh segments); ``max_polls`` bounds
-        BOTH kinds, so a sustained producer cannot keep a bounded-poll
-        call alive — once the bound is hit, no further listing happens
-        and the loop drains what it already listed. Views advance at
-        every poll boundary (before each fresh listing and at drain), the
-        same "never more than one poll of epochs behind" retention shape
-        the serial tail gives — the changefeed-horizon contract rests on
-        it."""
-        total = ReplayStats()
+        """FOLLOW the changelog: poll for segments past the manifest
+        watermark and apply them — the engine's only epoch driver
+        (:meth:`replay` is one poll of it). Commits are serialized through
+        :meth:`apply_epoch`, so a killed tailer resumes from the last
+        committed epoch.
+
+        One prefetch window survives poll boundaries: while epoch N
+        applies, the log is re-listed and epoch N+1's map round submitted,
+        planned against the schema N will commit (prep tasks are pure and
+        evolution is schema-deterministic). Epoch boundaries depend on
+        what was visible at prefetch time; exactly-once is by watermark.
+
+        A poll is one listing: at the loop top, or the in-flight re-list
+        that found fresh segments. ``max_polls`` bounds both, so a
+        sustained producer cannot keep a bounded call alive (the loop
+        drains what it listed); ``idle_stop_polls`` stops after that many
+        consecutive empty polls. Pass neither to follow forever.
+
+        At each poll boundary after applied epochs (before a fresh listing
+        and at drain) the ``views`` ``advance()`` — so a view never lags
+        more than one poll, the changefeed-horizon contract — and then
+        ``vacuum=True`` removes unreferenced data files. A view advance
+        failure propagates; the lake epochs are already committed.
+
+        ``auto_mitigate_skew=True`` runs :meth:`mitigate_skew` on each
+        committed epoch; a successful mitigation re-submits the
+        prefetched map round (routed with the old salt map).
+        ``pipelined`` accepts only ``True``. ``seconds`` in the returned
+        stats is the call's wall time, idle polls included."""
+        if not pipelined:
+            raise ValueError("pipelined=False is gone: the epoch driver always prefetches")
+        stats = ReplayStats()
         t0 = time.perf_counter()
         polls = idle = 0
-        applied_since_advance = 0
+        applied_since_boundary = 0
         public = self._public_schema()
         queue: list = []  # listed-but-not-prepped epochs
         pending: tuple | None = None  # (epoch, schemas, prep) in flight
         listed_through = self.manifest.applied_lsn  # newest lsn we've listed
-        any_applied = False
 
-        def _drain_views() -> None:
-            nonlocal applied_since_advance
-            if applied_since_advance and views:
-                for v in views:
+        def poll_boundary() -> None:
+            nonlocal applied_since_boundary
+            if applied_since_boundary:
+                for v in views or ():
                     v.advance()
-            applied_since_advance = 0
+                if vacuum:
+                    self.store.vacuum(self.manifest)
+            applied_since_boundary = 0
 
         while True:
             if pending is None and not queue:
                 queue = changelog.epochs(segments_per_epoch, after_lsn=listed_through)
                 polls += 1
                 if not queue:
-                    _drain_views()
+                    poll_boundary()
                     idle += 1
                     if max_polls is not None and polls >= max_polls:
                         break
@@ -1726,20 +1633,14 @@ class CDCEngine:
             else:
                 ep, schemas, prep = pending
                 pending = None
-            next_public = pa.schema(
-                [f for f in schemas[1] if f.name not in (LSN_COL, DELETED_COL)]
-            )
-            # prefetch the NEXT epoch while this one applies — re-listing
-            # the log when the local queue is dry, so segments that arrive
-            # DURING the apply overlap with it instead of waiting a poll.
-            # The re-list is a POLL: it respects max_polls (else a
-            # sustained producer would keep a bounded call alive forever)
-            # and advances views first, so a view never lags more than
-            # one poll of epochs (the retention-horizon contract).
+            next_public = self._public_schema(schemas[1])
+            # prefetch the NEXT epoch while this one applies; a dry queue
+            # re-lists the log, which is a poll (bounded by max_polls, and
+            # a poll boundary first) so mid-apply arrivals overlap too
             if not queue and (max_polls is None or polls < max_polls):
                 fresh = changelog.epochs(segments_per_epoch, after_lsn=listed_through)
                 if fresh:
-                    _drain_views()
+                    poll_boundary()
                     queue = fresh
                     listed_through = max([listed_through] + [e.epoch_id for e in queue])
                     polls += 1
@@ -1751,25 +1652,22 @@ class CDCEngine:
             info = self.apply_epoch(ep, _precomputed=(schemas, prep))
             public = next_public
             if info is None:
-                total.epochs_skipped += 1
+                stats.epochs_skipped += 1
             else:
-                any_applied = True
-                applied_since_advance += 1
-                total.epochs_applied += 1
-                total.events += info["events"]
-                total.schema_changes.extend(info["schema_changes"])
+                applied_since_boundary += 1
+                stats.epochs_applied += 1
+                stats.events += info["events"]
+                stats.schema_changes.extend(info["schema_changes"])
                 if auto_mitigate_skew and self.mitigate_skew(epoch_id=ep.epoch_id):
                     if pending is not None:
                         nxt, nschemas, _stale = pending
                         pending = (nxt, nschemas, self._submit_prep(nxt, nschemas[0]))
             if pending is None and not queue:
-                _drain_views()
+                poll_boundary()
                 if max_polls is not None and polls >= max_polls:
                     break
-        total.seconds = time.perf_counter() - t0
-        if vacuum and any_applied:
-            self.store.vacuum(self.manifest)
-        return total
+        stats.seconds = time.perf_counter() - t0
+        return stats
 
     def snapshot(
         self,
@@ -1828,19 +1726,8 @@ class CDCEngine:
 
         ``prune_stats`` (optional dict) receives the skip counters:
         ``partitions_total/read``, ``files_total/read``."""
-        if as_of_ts is not None:
-            if version is not None:
-                raise ValueError("pass version or as_of_ts, not both")
-            version = self.store.version_at(as_of_ts)
-            if version is None:
-                raise ValueError(
-                    f"no version of {self.table_dir!r} was committed at or "
-                    f"before ts={as_of_ts}"
-                )
-        man = self.manifest if version is None else self.store.load(version)
-        full_public = pa.schema(
-            [f for f in man.schema if f.name not in (LSN_COL, DELETED_COL)]
-        )
+        man = self._resolve_manifest(version, as_of_ts)
+        full_public = self._public_schema(man.schema)
         public = full_public
         if columns is not None:
             bad = [c for c in columns if c not in public.names]
@@ -2653,7 +2540,7 @@ class CDCEngine:
         to the SOURCE engine's backend, so a CAS-backed table clones onto
         the same commit primitives; pass explicitly to cross stores).
         """
-        src_man = self.store.load(version) if version is not None else self.manifest
+        src_man = self._resolve_manifest(version, None)
         if src_man is None:
             raise ValueError(f"version {version} not found for {self.manifest.table!r}")
         missing = [f for f in src_man.data_files() if not os.path.exists(f)]
@@ -2744,7 +2631,7 @@ class CDCEngine:
         loud; diff across a reshard would need a full re-exchange).
         Output schema: key columns + ``diff_op`` + public payload + ts.
         """
-        man1 = self.store.load(to_version) if to_version is not None else self.manifest
+        man1 = self._resolve_manifest(to_version, None)
         man0 = self.store.load(from_version)
         if man0 is None or man1 is None:
             raise ValueError(
@@ -2765,7 +2652,7 @@ class CDCEngine:
             )
         lake = man1.schema  # diff is reported in the NEWER schema
         key_cols = self.key_cols
-        public = [f.name for f in lake if f.name not in (LSN_COL, DELETED_COL)]
+        public = self._public_schema(lake).names
         out_schema = pa.schema(
             [pa.field("diff_op", pa.string())]
             + [lake.field(n) for n in public]
@@ -3058,7 +2945,7 @@ class CDCEngine:
 
         man = self.manifest
         lake = man.schema
-        public = pa.schema([f for f in lake if f.name not in (LSN_COL, DELETED_COL)])
+        public = self._public_schema(lake)
         if not self.key_cols:
             raise ValueError("lookup requires a primary-keyed table")
         key0 = self.key_cols[0]
@@ -3109,18 +2996,9 @@ class CDCEngine:
         ``as_of_ts`` (unix seconds) resolves the newest version committed
         at or before that wall-clock time (``VERSION AS OF TIMESTAMP``);
         mutually exclusive with ``version``."""
-        if as_of_ts is not None:
-            if version is not None:
-                raise ValueError("pass version or as_of_ts, not both")
-            version = self.store.version_at(as_of_ts)
-            if version is None:
-                raise ValueError(
-                    f"no version of {self.table_dir!r} was committed at or before "
-                    f"ts={as_of_ts}"
-                )
-        man = self.manifest if version is None else self.store.load(version)
+        man = self._resolve_manifest(version, as_of_ts)
         lake = man.schema
-        public = pa.schema([f for f in lake if f.name not in (LSN_COL, DELETED_COL)])
+        public = self._public_schema(lake)
         if predicate:
             zone.validate_predicate(predicate)
             bad = [c[0] for c in predicate if c[0] not in public.names]

@@ -72,7 +72,7 @@ def test_packed_reduce_matches_oracle(tmp_path):
     _assert_matches_oracle(eng, log)
 
     one = CDCEngine(str(tmp_path / "one"), num_partitions=1, compact_every=2)
-    one.replay(clog, segments_per_epoch=4, pipelined=True)
+    one.replay(clog, segments_per_epoch=4)
     _assert_matches_oracle(one, log)
 
 

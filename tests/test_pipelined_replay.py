@@ -18,9 +18,10 @@ def test_pipelined_equals_sequential(tmp_path):
     clog.write_segments(log, segment_rows=750)
 
     seq = CDCEngine(str(tmp_path / "seq"), num_partitions=4)
-    seq.replay(clog, segments_per_epoch=2)
+    for ep in clog.epochs(2):
+        seq.apply_epoch(ep)
     pipe = CDCEngine(str(tmp_path / "pipe"), num_partitions=4)
-    st = pipe.replay(clog, segments_per_epoch=2, pipelined=True)
+    st = pipe.replay(clog, segments_per_epoch=2)
     assert st.epochs_applied == 4
     assert pipe.snapshot_arrow().equals(seq.snapshot_arrow())
     assert pipe.manifest.applied_lsn == seq.manifest.applied_lsn
@@ -46,7 +47,7 @@ def test_pipelined_with_schema_evolution(tmp_path):
     clog.write_segments(log.slice(2000), segment_rows=500)
 
     eng = CDCEngine(str(tmp_path / "tbl"), spec=spec_v1, num_partitions=4)
-    stats = eng.replay(clog, segments_per_epoch=1, pipelined=True)  # evolution mid-stream
+    stats = eng.replay(clog, segments_per_epoch=1)  # evolution mid-stream
     assert any("add tool" in c for c in stats.schema_changes)
 
     early_as_fed = log.slice(0, 2000).set_column(
@@ -69,7 +70,7 @@ def test_pipelined_resume(tmp_path):
     for ep in clog.epochs(2)[:1]:
         eng.apply_epoch(ep)
     eng2 = CDCEngine(str(tmp_path / "tbl"), num_partitions=4)
-    st = eng2.replay(clog, segments_per_epoch=2, pipelined=True)
+    st = eng2.replay(clog, segments_per_epoch=2)
     assert st.epochs_applied == 2  # remaining epochs only
     oracle = oracle_replay(log)
     assert eng2.snapshot_arrow().num_rows == len(oracle)
@@ -99,7 +100,19 @@ def test_pipelined_tail_never_reprepares_overlapping_segments(tmp_path):
         return submit(epoch, chg_schema)
 
     eng._submit_prep = counting_submit
-    eng.tail(clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=1, pipelined=True)
+    eng.tail(clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=1)
     assert sorted(prepped) == sorted(s.path for s in clog.segments())
     assert eng.manifest.applied_lsn == 30
     assert eng.snapshot_arrow().num_rows == len(oracle_replay(log))
+
+
+def test_serial_driver_is_gone(tmp_path):
+    """replay and tail have one driver; asking for the removed serial one
+    fails loud before anything is listed or applied."""
+    eng = CDCEngine(str(tmp_path / "tbl"), num_partitions=2)
+    clog = ChangeLog(str(tmp_path / "log"))
+    with pytest.raises(ValueError, match="pipelined=False"):
+        eng.replay(clog, pipelined=False)
+    with pytest.raises(ValueError, match="pipelined=False"):
+        eng.tail(clog, poll_s=0, max_polls=1, pipelined=False)
+    assert eng.manifest.version == 1

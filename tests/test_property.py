@@ -266,10 +266,10 @@ def test_pipelined_tail_always_matches_oracle(
     clog = ChangeLog(str(tmp / "log"))
     clog.write_segments(log.slice(0, cut), segment_rows=segment_rows)
     eng = CDCEngine(str(tmp / "tbl"), num_partitions=num_partitions)
-    eng.tail(clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=2, pipelined=True)
+    eng.tail(clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=2)
     if cut < log.num_rows:
         clog.write_segments(log.slice(cut), segment_rows=segment_rows)
-    eng.tail(clog, poll_s=0, idle_stop_polls=2, segments_per_epoch=2, pipelined=True)
+    eng.tail(clog, poll_s=0, idle_stop_polls=2, segments_per_epoch=2)
 
     oracle = oracle_replay(log)
     got = eng.snapshot_arrow().to_pylist()
@@ -281,4 +281,4 @@ def test_pipelined_tail_always_matches_oracle(
         assert r["text"] == exp["text"]
         assert r["ts"] == exp["ts"]
     # re-tailing is a no-op
-    assert eng.tail(clog, poll_s=0, idle_stop_polls=1, pipelined=True).events == 0
+    assert eng.tail(clog, poll_s=0, idle_stop_polls=1).events == 0

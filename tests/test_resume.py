@@ -307,8 +307,7 @@ def test_pipelined_tail_equals_serial_and_oracle(tmp_path):
     view = IncrementalRollup(eng, str(tmp_path / "view"))
 
     s1 = eng.tail(
-        clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=1,
-        pipelined=True, views=[view],
+        clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=1, views=[view],
     )
     assert s1.epochs_applied > 0
     mid_lsn = eng.manifest.applied_lsn
@@ -316,8 +315,7 @@ def test_pipelined_tail_equals_serial_and_oracle(tmp_path):
 
     clog.write_segments(log.slice(half), segment_rows=500)
     s2 = eng.tail(
-        clog, poll_s=0, idle_stop_polls=2, segments_per_epoch=1,
-        pipelined=True, views=[view],
+        clog, poll_s=0, idle_stop_polls=2, segments_per_epoch=1, views=[view],
     )
     assert s2.epochs_applied > 0
     assert eng.manifest.applied_lsn > mid_lsn
@@ -338,7 +336,7 @@ def test_pipelined_tail_equals_serial_and_oracle(tmp_path):
 
     pd.testing.assert_frame_equal(a, b)
 
-    s3 = eng.tail(clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=1, pipelined=True)
+    s3 = eng.tail(clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=1)
     assert s3.epochs_applied == 0 and s3.events == 0
 
 
@@ -370,9 +368,7 @@ def test_pipelined_tail_overlaps_midflight_arrivals(tmp_path):
         return orig_apply(epoch, **kw)
 
     eng.apply_epoch = apply_and_grow
-    stats = eng.tail(
-        clog, poll_s=0, idle_stop_polls=2, segments_per_epoch=2, pipelined=True
-    )
+    stats = eng.tail(clog, poll_s=0, idle_stop_polls=2, segments_per_epoch=2)
     eng.apply_epoch = orig_apply
     assert stats.epochs_applied > 0
     oracle = oracle_replay(log)
@@ -416,8 +412,7 @@ def test_pipelined_tail_max_polls_bounds_a_sustained_producer(tmp_path):
 
     eng.apply_epoch = apply_and_produce
     stats = eng.tail(
-        clog, poll_s=0, max_polls=2, segments_per_epoch=1,
-        pipelined=True, views=[view],
+        clog, poll_s=0, max_polls=2, segments_per_epoch=1, views=[view],
     )
     eng.apply_epoch = orig_apply
 
@@ -428,3 +423,56 @@ def test_pipelined_tail_max_polls_bounds_a_sustained_producer(tmp_path):
     # the view advanced at every poll boundary, not just at the end —
     # never more than one poll of epochs behind
     assert len(advances) >= 2
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_tail_vacuums_at_every_applying_poll_boundary(tmp_path):
+    """A producer that keeps the queue non-empty means the tail never
+    drains, so vacuum must run at each poll boundary, not only when the
+    loop exits. With a compaction every epoch, each apply orphans one file
+    per partition; those must be gone before the next apply."""
+    log = generate_changelog(GenConfig(num_events=8000, seed=21))
+    step = log.num_rows // 16
+    clog = ChangeLog(str(tmp_path / "log"))
+    clog.write_segments(log.slice(0, step), segment_rows=step)
+
+    eng = CDCEngine(str(tmp_path / "tbl"), num_partitions=2, compact_every=1)
+    data_dir = os.path.join(str(tmp_path / "tbl"), "data")
+
+    def unreferenced() -> int:
+        man = eng.manifest
+        live = set(man.data_files())
+        live.update(e["path"] for e in man.properties.get("retained_deltas", []))
+        return sum(
+            os.path.join(root, name) not in live
+            for root, _dirs, names in os.walk(data_dir)
+            for name in names
+        )
+
+    orig_apply = eng.apply_epoch
+    written = {"n": 1}
+    orphans = []
+
+    def apply_and_produce(epoch, **kw):
+        orphans.append(unreferenced())
+        # one fresh segment lands per apply until the log is exhausted
+        if written["n"] < 16:
+            n = written["n"]
+            rest = log.slice(n * step, step if n < 15 else None)
+            clog.write_segments(rest, segment_rows=rest.num_rows)
+            written["n"] += 1
+        return orig_apply(epoch, **kw)
+
+    eng.apply_epoch = apply_and_produce
+    stats = eng.tail(clog, poll_s=0, idle_stop_polls=1, segments_per_epoch=1)
+    eng.apply_epoch = orig_apply
+
+    assert stats.epochs_applied == 16
+    assert len(orphans) == 16
+    assert max(orphans) <= eng.manifest.num_partitions, orphans
+    oracle = oracle_replay(log)
+    state = eng.snapshot_arrow().to_pylist()
+    assert len(state) == len(oracle)
+    for row, k in zip(state, sorted(oracle)):
+        assert (row["conv_id"], row["turn_idx"]) == k
+        assert row["text"] == oracle[k]["text"]

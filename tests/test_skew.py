@@ -75,16 +75,13 @@ def _spread(table_dir, epoch_id):
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("pipelined", [False, True])
-def test_skew_mitigation_e2e(tmp_path, pipelined):
+def test_skew_mitigation_e2e(tmp_path):
     log = _skewed_log()
     clog = ChangeLog(str(tmp_path / "log"))
     clog.write_segments(log, segment_rows=1_500)  # 8 segments → 4 epochs
 
     eng = CDCEngine(str(tmp_path / "tbl"), num_partitions=8)
-    stats = eng.replay(
-        clog, segments_per_epoch=2, pipelined=pipelined, auto_mitigate_skew=True
-    )
+    stats = eng.replay(clog, segments_per_epoch=2, auto_mitigate_skew=True)
     assert stats.epochs_applied == 4
     # the hot conversation was detected and salted
     assert "conv-000000" in eng.salt_map
