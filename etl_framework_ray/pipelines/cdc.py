@@ -43,6 +43,7 @@ amortizes the full rewrite across ``compact_every`` epochs.
 from __future__ import annotations
 
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -52,7 +53,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..context import DEFAULT_NUM_PARTITIONS, RunContext
-from ..functions.hashing import partition_ids, salted_partition_ids, stable_hash_array
+from ..functions.hashing import salted_partition_ids, stable_hash_array
 from ..sources.changelog import ChangeLog, Epoch
 from ..stages.lww import lww_reduce, lww_survivor_indices
 from ..state.manifest import CommitConflict, Manifest, ManifestStore, PartitionState
@@ -99,6 +100,11 @@ def _zone_cols(lake_sch: pa.Schema) -> list[str]:
 
 #: changelog envelope columns that are not row payload
 _ENVELOPE = ("lsn", "op")
+
+#: CDC data-file naming — THE single pattern (stack checks, changefeed
+#: listing, retention, purge routing and fsck all match against it).
+#: Groups: kind (delta|base), pid, epoch, migration source suffix.
+_CDC_FILE_RE = re.compile(r"^(delta|base)-(\d+)-(\d+)(-from\d+)?\.parquet$")
 
 #: CDCEngine(changefeed_retention_lsn=INHERIT) — use the horizon persisted
 #: in the table manifest (the default). The horizon is TABLE config, not
@@ -188,20 +194,6 @@ def merge_partition_files(
     return lww_reduce(t, key_cols, _lww_order(lake_sch, LSN_COL))
 
 
-def _iter_side_chunks(
-    files: list[str], lake_sch: pa.Schema, key_cols: tuple[str, ...], chunk_rows: int
-):
-    """Key-sorted, unique-key, key-COMPLETE chunk stream of one version's
-    partition stack: the streamed k-way merge when the layout allows
-    (engine-written files, ≤2-col PK), else one whole-partition chunk."""
-    if files and key_cols and len(key_cols) <= 2 and _is_cdc_sorted(list(files)):
-        yield from iter_merged_partition(list(files), lake_sch, key_cols, chunk_rows=chunk_rows)
-    else:
-        t = merge_partition_files(list(files), lake_sch, key_cols)
-        if t.num_rows:
-            yield t
-
-
 def _diff_tables(
     w0: pa.Table,
     w1: pa.Table,
@@ -258,59 +250,21 @@ def _diff_partition_chunks(
     chunk_rows: int = 65536,
 ):
     """STREAMING two-version diff of one partition: walk both stacks'
-    merged chunk streams in lockstep, slicing both at the lexicographic
-    min of their buffers' LAST keys — every key ≤ the pivot is complete
-    on BOTH sides (each stream is key-sorted with unique keys), so the
-    chunk compare is exact. Peak memory O(chunk × files per side), same
-    bound as the snapshot merge — a diff never holds a partition."""
-    import numpy as np
-
-    two = len(key_cols) == 2
-    sources = [
-        _iter_side_chunks(files0, lake_sch, key_cols, chunk_rows),
-        _iter_side_chunks(files1, lake_sch, key_cols, chunk_rows),
+    :func:`partition_chunks` streams in lockstep (:func:`_aligned_rounds`)
+    and compare each round's key-complete slices. Peak memory
+    O(chunk × files per side), same bound as the snapshot merge — a diff
+    never holds a partition."""
+    empty = lake_sch.empty_table()
+    sides = [
+        partition_chunks(files0, lake_sch, key_cols, chunk_rows=chunk_rows),
+        partition_chunks(files1, lake_sch, key_cols, chunk_rows=chunk_rows),
     ]
-    bufs: list[pa.Table | None] = [None, None]
-
-    def refill(i: int) -> None:
-        if bufs[i] is not None and bufs[i].num_rows:
-            return
-        bufs[i] = next(sources[i], None)
-        while bufs[i] is not None and bufs[i].num_rows == 0:
-            bufs[i] = next(sources[i], None)
-
-    for i in (0, 1):
-        refill(i)
-    while True:
-        active = [i for i in (0, 1) if bufs[i] is not None]
-        if not active:
-            return
-        lasts = []
-        for i in active:
-            b = bufs[i]
-            k0 = b.column(key_cols[0])[b.num_rows - 1].as_py()
-            k1 = b.column(key_cols[1])[b.num_rows - 1].as_py() if two else None
-            lasts.append((k0, k1))
-        p0, p1 = min(lasts, key=lambda x: (x[0], x[1]) if two else (x[0],))
-        sides = []
-        for i in (0, 1):
-            b = bufs[i]
-            if b is None:
-                sides.append(lake_sch.empty_table())
-                continue
-            a0 = _np_col(b, key_cols[0])
-            if two:
-                j0 = int(np.searchsorted(a0, p0, "left"))
-                hi = int(np.searchsorted(a0, p0, "right"))
-                a1 = _np_col(b.slice(j0, hi - j0), key_cols[1])
-                cut = j0 + int(np.searchsorted(a1, p1, "right"))
-            else:
-                cut = int(np.searchsorted(a0, p0, "right"))
-            sides.append(b.slice(0, cut))
-            rest = b.slice(cut)
-            bufs[i] = rest if rest.num_rows else None
-            refill(i)
-        chunk = _diff_tables(sides[0], sides[1], lake_sch, key_cols, public, out_schema)
+    for w0, w1 in _aligned_rounds(sides, key_cols):
+        chunk = _diff_tables(
+            empty if w0 is None else w0,
+            empty if w1 is None else w1,
+            lake_sch, key_cols, public, out_schema,
+        )
         if chunk.num_rows:
             yield chunk
 
@@ -471,15 +425,6 @@ def _fold_epoch_patches(
     return out, n_patches - n_applied
 
 
-#: CDC file naming — files written by the engine are LWW-reduced and
-#: key-sorted with UNIQUE keys, which is what the streamed merge relies on
-import re as _re_mod
-
-#: CDC data-file naming — THE single pattern (file checks, changefeed
-#: listing, fsck all match against this)
-_CDC_FILE_RE = _re_mod.compile(r"^(delta|base)-(\d+)-(\d+)(-from\d+)?\.parquet$")
-
-
 def _is_cdc_sorted(files: list[str]) -> bool:
     """True iff every file was written by the CDC apply/compact/salt paths
     (key-sorted, unique keys) — the precondition for the streamed k-way
@@ -514,6 +459,63 @@ def _np_col(t: pa.Table, name: str):
     return t.column(name).to_pandas().to_numpy()
 
 
+def _aligned_rounds(sources: list, key_cols: tuple[str, ...]):
+    """Lockstep walk of key-sorted, unique-key chunk streams. Each round
+    cuts every stream's buffer at the pivot — the lexicographic min of the
+    buffers' LAST keys — and yields one slice per stream, ``None`` where a
+    stream has no rows at or below the pivot. Every key ≤ the pivot is
+    complete in every stream (later chunks of a sorted unique-key stream
+    are strictly greater), so each round is exact on its own and no key
+    spans two rounds.
+
+    The pivot compares the first two key columns (1- and 2-column PKs);
+    a wider PK is only ever walked as one chunk per stream (the
+    whole-partition branch of :func:`partition_chunks`), where cutting at
+    the leading column alone is exact."""
+    import numpy as np
+
+    two = len(key_cols) == 2
+    width = 2 if two else 1
+    bufs: list[pa.Table | None] = [None] * len(sources)
+
+    def refill(i: int) -> None:
+        while bufs[i] is None:
+            nxt = next(sources[i], None)
+            if nxt is None:
+                return
+            bufs[i] = nxt if nxt.num_rows else None
+
+    for i in range(len(sources)):
+        refill(i)
+    while any(b is not None for b in bufs):
+        last = [
+            tuple(b.column(k)[b.num_rows - 1].as_py() for k in key_cols[:width])
+            for b in bufs
+            if b is not None
+        ]
+        pivot = min(last)
+        out: list[pa.Table | None] = []
+        for i, b in enumerate(bufs):
+            if b is None:
+                out.append(None)
+                continue
+            a0 = _np_col(b, key_cols[0])
+            if two:
+                j0 = int(np.searchsorted(a0, pivot[0], "left"))
+                hi = int(np.searchsorted(a0, pivot[0], "right"))
+                a1 = _np_col(b.slice(j0, hi - j0), key_cols[1])
+                cut = j0 + int(np.searchsorted(a1, pivot[1], "right"))
+            else:
+                cut = int(np.searchsorted(a0, pivot[0], "right"))
+            if not cut:
+                out.append(None)
+                continue
+            out.append(b.slice(0, cut))
+            bufs[i] = b.slice(cut) if cut < b.num_rows else None
+            refill(i)
+        yield out
+
+
 def iter_merged_partition(
     files: list[str],
     lake_sch: pa.Schema,
@@ -531,61 +533,75 @@ def iter_merged_partition(
     partitions can be sized well past worker heap (the 100-TB sizing knob
     in the module docstring). Relies on engine-written files having
     strictly-increasing unique keys (every file is an ``lww_reduce``
-    output); supports 1- and 2-column PKs — wider PKs and writer-staged
-    (unsorted) files take the full-table path in the callers.
-
-    Merge rule per round: pivot = min over streams of each buffer's LAST
-    key; every stream's rows ≤ pivot are complete (future chunks of a
-    sorted unique-key stream are strictly greater), so slicing at the
-    pivot and LWW-reducing the concatenation is exact."""
-    import numpy as np
-
+    output); supports 1- and 2-column PKs — :func:`partition_chunks`
+    sends wider PKs and writer-staged (unsorted) files to the
+    whole-partition merge. Each :func:`_aligned_rounds` round is
+    concatenated and LWW-reduced."""
     order_cols = _lww_order(lake_sch, LSN_COL)
-    two = len(key_cols) == 2
     sources = [_iter_file_chunks(f, lake_sch, chunk_rows, conjuncts) for f in files]
     if extra_sorted is not None and extra_sorted.num_rows:
         sources.append(_iter_table_chunks(normalize_table(extra_sorted, lake_sch), chunk_rows))
-    bufs: list[pa.Table | None] = [None] * len(sources)
-
-    def refill(i: int) -> None:
-        if bufs[i] is not None and bufs[i].num_rows:
-            return
-        bufs[i] = next(sources[i], None)
-        while bufs[i] is not None and bufs[i].num_rows == 0:
-            bufs[i] = next(sources[i], None)
-
-    for i in range(len(sources)):
-        refill(i)
-    while True:
-        active = [i for i in range(len(sources)) if bufs[i] is not None]
-        if not active:
-            return
-        # pivot: lexicographic min of the buffers' LAST keys
-        lasts = []
-        for i in active:
-            b = bufs[i]
-            k0 = b.column(key_cols[0])[b.num_rows - 1].as_py()
-            k1 = b.column(key_cols[1])[b.num_rows - 1].as_py() if two else None
-            lasts.append((k0, k1, i))
-        p0, p1, _ = min(lasts, key=lambda x: (x[0], x[1]) if two else (x[0],))
-        parts = []
-        for i in active:
-            b = bufs[i]
-            a0 = _np_col(b, key_cols[0])
-            if two:
-                j0 = int(np.searchsorted(a0, p0, "left"))
-                hi = int(np.searchsorted(a0, p0, "right"))
-                a1 = _np_col(b.slice(j0, hi - j0), key_cols[1])
-                cut = j0 + int(np.searchsorted(a1, p1, "right"))
-            else:
-                cut = int(np.searchsorted(a0, p0, "right"))
-            if cut:
-                parts.append(b.slice(0, cut))
-                rest = b.slice(cut)
-                bufs[i] = rest if rest.num_rows else None
-                refill(i)
+    for slices in _aligned_rounds(sources, key_cols):
+        parts = [s for s in slices if s is not None]
         merged = parts[0] if len(parts) == 1 else pa.concat_tables(parts)
         yield lww_reduce(merged, key_cols, order_cols)
+
+
+def partition_chunks(
+    files: list[str],
+    lake_sch: pa.Schema,
+    key_cols: tuple[str, ...],
+    extra_sorted: pa.Table | None = None,
+    conjuncts=None,
+    chunk_rows: int = 65536,
+):
+    """THE merge-on-read of one partition's file stack (oldest first),
+    plus an optional key-sorted in-memory table folded in last (an
+    epoch's reduced changes at compaction). Yields non-empty, key-sorted,
+    key-complete, LWW-reduced chunks, tombstones and bookkeeping columns
+    included. Every partition read — snapshot, changefeed, diff,
+    compaction and view rebuilds — goes through here.
+
+    Engine-written stacks (``_is_cdc_sorted``) of a ≤2-column PK stream
+    through :func:`iter_merged_partition` at peak memory
+    O(chunk × files); writer-staged (unsorted) files and wider PKs take
+    the whole-partition :func:`merge_partition_files` and yield one
+    chunk. ``conjuncts`` skip row groups by footer stats (PK conjuncts
+    under merge, any conjunct on a PK-less table)."""
+    files = list(files)
+    if key_cols and len(key_cols) <= 2 and _is_cdc_sorted(files):
+        yield from iter_merged_partition(
+            files, lake_sch, key_cols, extra_sorted, chunk_rows, conjuncts
+        )
+        return
+    t = merge_partition_files(files, lake_sch, key_cols, conjuncts)
+    if extra_sorted is not None and extra_sorted.num_rows:
+        t = lww_reduce(pa.concat_tables([t, extra_sorted]), key_cols, _lww_order(lake_sch, LSN_COL))
+    if t.num_rows:
+        yield t
+
+
+def _partition_dataset(parts: list[dict], per_part, empty: pa.Table) -> "ray.data.Dataset":
+    """The per-partition read driver: one Ray Data task per partition
+    item, running ``per_part(item)`` (a generator of Arrow tables) inside
+    the task so nothing lands on the driver. Empty outputs are dropped;
+    a read with no partitions, or whose partitions yield nothing, still
+    carries ``empty``'s schema."""
+    if not parts:
+        return ray.data.from_arrow(empty)
+
+    def resolve(batch: pa.Table):
+        _single_threaded_arrow()
+        yielded = False
+        for item in batch.to_pylist():
+            for t in per_part(item):
+                if t.num_rows:
+                    yielded = True
+                    yield t
+        if not yielded:
+            yield empty
+
+    return ray.data.from_items(parts).map_batches(resolve, batch_format="pyarrow", batch_size=1)
 
 
 def _write_merged_stream(
@@ -597,30 +613,18 @@ def _write_merged_stream(
     epoch_id: int = 0,
     ttl: int | None = None,
 ) -> tuple[int, int, dict]:
-    """Stream the partition merge to ``tmp_path`` — one parquet row group
-    per merged chunk, so compaction peak memory is O(chunk × files), not
-    O(partition). Applies the tombstone-TTL filter chunk-locally. Returns
-    ``(rows_written, tombstones, zone_stats)`` — zone-map column stats
-    accumulated chunk-wise over exactly what was written. Wide PKs /
-    non-CDC layouts fall back to the full in-memory merge."""
-
-    def chunks():
-        if key_cols and len(key_cols) <= 2 and _is_cdc_sorted(list(files)):
-            yield from iter_merged_partition(list(files), lake_sch, key_cols, extra_sorted)
-        else:
-            t = merge_partition_files(list(files), lake_sch, key_cols)
-            if extra_sorted is not None and extra_sorted.num_rows:
-                t = lww_reduce(
-                    pa.concat_tables([t, extra_sorted]), key_cols, _lww_order(lake_sch, LSN_COL)
-                )
-            yield t
-
+    """Stream the partition merge (:func:`partition_chunks`) to
+    ``tmp_path`` — one parquet row group per merged chunk, so compaction
+    peak memory is O(chunk × files), not O(partition). Applies the
+    tombstone-TTL filter chunk-locally. Returns ``(rows_written,
+    tombstones, zone_stats)`` — zone-map column stats accumulated
+    chunk-wise over exactly what was written."""
     writer = None
     rows = tomb = 0
     zcols = _zone_cols(lake_sch)
     stats: dict | None = None
     try:
-        for chunk in chunks():
+        for chunk in partition_chunks(files, lake_sch, key_cols, extra_sorted):
             if ttl is not None:
                 # GC tombstones older than the out-of-orderness horizon: an
                 # event that could resurrect the key can no longer arrive
@@ -1082,6 +1086,18 @@ def _resalt_partition_task(
     }
 
 
+def _require_data_files(man: Manifest, what: str) -> None:
+    """Fail loud when ``vacuum`` already reclaimed a data file ``man``
+    references — vacuum ends time travel, and with it restore, clone and
+    diff, to superseded versions."""
+    missing = [f for f in man.data_files() if not os.path.exists(f)]
+    if missing:
+        raise ValueError(
+            f"cannot {what}: {len(missing)} data files were vacuumed "
+            f"(first: {os.path.basename(missing[0])!r})"
+        )
+
+
 class CDCEngine:
     """Replays a changelog into a committed Parquet lake table.
 
@@ -1212,13 +1228,10 @@ class CDCEngine:
         them. Base files need no retention — the feed never reads them."""
         if self.changefeed_retention_lsn is None:
             return
-        import re
-
-        delta_re = re.compile(r"^delta-(\d+)-(\d+)\.parquet$")
         entries = new_man.properties.setdefault("retained_deltas", [])
         for f in old_files:
-            m = delta_re.match(os.path.basename(f))
-            if m:
+            m = _CDC_FILE_RE.match(os.path.basename(f))
+            if m and m.group(1) == "delta":
                 # retired_lsn = the retiring commit's watermark: retention is
                 # promised "past retirement", not past creation — a delta
                 # created at epoch E but folded much later stays readable
@@ -1226,7 +1239,7 @@ class CDCEngine:
                 entries.append(
                     {
                         "path": f,
-                        "epoch_id": int(m.group(2)),
+                        "epoch_id": int(m.group(3)),
                         "retired_lsn": int(new_man.applied_lsn),
                     }
                 )
@@ -1774,8 +1787,6 @@ class CDCEngine:
             parts.append({"pid": pid, "files": files})
         if prune_stats is not None:
             prune_stats.update(counters)
-        if not parts:
-            return ray.data.from_arrow(public.empty_table())
         lake = man.schema
         if columns is not None:
             # predicate columns must survive the projected merge even when
@@ -1788,37 +1799,14 @@ class CDCEngine:
                 t = zone.filter_table(t, predicate)
             return t.select(public.names)
 
-        def resolve(batch: pa.Table):
-            _single_threaded_arrow()
-            yielded = False
-            for row in batch.to_pylist():
-                files = list(row["files"])
-                if key_cols and len(key_cols) <= 2 and _is_cdc_sorted(files):
-                    # streamed row-group merge: peak memory O(chunk × files),
-                    # so partition size is not bounded by worker heap.
-                    # file_cj (PK conjuncts; ANY conjunct on PK-less) also
-                    # skips row groups INSIDE each file via footer stats —
-                    # base files are PK-sorted, so a key predicate decodes
-                    # only the matching slice of the base
-                    for chunk in iter_merged_partition(
-                        files, lake, key_cols, conjuncts=file_cj
-                    ):
-                        out = post(chunk.filter(pc.invert(chunk.column(DELETED_COL))))
-                        if out.num_rows:
-                            yielded = True
-                            yield out
-                else:  # writer-staged (unsorted) or wide-PK table: full merge
-                    t = merge_partition_files(files, lake, key_cols, conjuncts=file_cj)
-                    t = post(t.filter(pc.invert(t.column(DELETED_COL))))
-                    if t.num_rows:
-                        yielded = True
-                        yield t
-            if not yielded:
-                yield public.empty_table()
+        def per_part(item: dict):
+            # file_cj (PK conjuncts; ANY conjunct on PK-less) also skips
+            # row groups INSIDE each file via footer stats — base files are
+            # PK-sorted, so a key predicate decodes only the matching slice
+            for chunk in partition_chunks(item["files"], lake, key_cols, conjuncts=file_cj):
+                yield post(chunk.filter(pc.invert(chunk.column(DELETED_COL))))
 
-        return ray.data.from_items(parts).map_batches(
-            resolve, batch_format="pyarrow", batch_size=1
-        )
+        return _partition_dataset(parts, per_part, public.empty_table())
 
     def column_bounds(self, column: str) -> tuple | None:
         """Global (min, max) of a public column from the manifest zone
@@ -1992,6 +1980,59 @@ class CDCEngine:
         self.manifest = new_man
         return len(metas)
 
+    def _migrate(
+        self, man: Manifest, new_man: Manifest, pids: list[int], salt_map: dict, num_partitions: int
+    ) -> int:
+        """Move the rows of partitions ``pids`` of ``man`` to their homes
+        under ``salt_map`` and ``num_partitions`` (one staged
+        ``_resalt_partition_task`` per partition) and place the staged
+        files into ``new_man``. Returns the live rows moved.
+
+        TWO PHASES: every source's stack is replaced by its kept file
+        first (its old files retire; a source left with no rows drops
+        out), THEN moved files append to their targets. A source can
+        itself be another migration's TARGET (two hot partitions salting
+        into each other); interleaving replace/append would drop the
+        earlier append."""
+        metas = ray.get(
+            [
+                _resalt_partition_task.remote(
+                    self.table_dir,
+                    pid,
+                    man.partitions[pid].files,
+                    man.schema,
+                    self.key_cols,
+                    salt_map,
+                    num_partitions,
+                    new_man.version,
+                    man.applied_lsn,
+                )
+                for pid in pids
+            ]
+        )
+        for m in metas:
+            src, kept = int(m["pid"]), m["kept_path"]
+            self._retire_deltas(new_man, man.partitions[src].files)
+            new_man.partitions.pop(src, None)
+            if kept:
+                new_man.partitions[src] = PartitionState(
+                    files=[kept],
+                    applied_lsn=man.applied_lsn,
+                    rows=int(m["kept_live"]),
+                    file_stats={kept: m["kept_stats"]} if m.get("kept_stats") else {},
+                )
+        rows_moved = 0
+        for m in metas:
+            for tpid, (path, live, zstats) in m["moved"].items():
+                st = new_man.partitions.setdefault(int(tpid), PartitionState())
+                st.files.append(path)
+                st.rows += int(live)
+                st.applied_lsn = man.applied_lsn
+                rows_moved += int(live)
+                if zstats:
+                    st.file_stats[path] = zstats
+        return rows_moved
+
     def mitigate_skew(
         self,
         factor: float = 4.0,
@@ -2049,62 +2090,22 @@ class CDCEngine:
         if not new_keys:
             return {}
 
-        table_dir = self.table_dir
-        version = man.version + 1
-        metas = ray.get(
-            [
-                _resalt_partition_task.remote(
-                    table_dir,
-                    pid,
-                    man.partitions[pid].files,
-                    lake,
-                    key_cols,
-                    {**known, **new_keys},
-                    num_partitions,
-                    version,
-                    man.applied_lsn,
-                )
-                for pid in affected
-            ]
-        )
         new_man = Manifest.from_json(man.to_json())
-        new_man.version = version
+        new_man.version = man.version + 1
         new_man.properties = {**new_man.properties, "salt_map": {**known, **new_keys}}
-        # TWO PHASES: replace every migrated source's file list first, THEN
-        # append moved files. A migrated partition can itself be another
-        # migration's TARGET (two hot partitions salting into each other);
-        # interleaving replace/append would drop the earlier append.
-        for m in metas:
-            src = int(m["pid"])
-            self._retire_deltas(new_man, new_man.partitions[src].files)
-            new_man.partitions[src] = PartitionState(
-                files=[m["kept_path"]] if m["kept_path"] else [],
-                applied_lsn=man.applied_lsn,
-                rows=int(m["kept_live"]),
-                file_stats={m["kept_path"]: m["kept_stats"]}
-                if m["kept_path"] and m.get("kept_stats")
-                else {},
-            )
-        for m in metas:
-            for tpid, (path, live, zstats) in m["moved"].items():
-                st = new_man.partitions.setdefault(int(tpid), PartitionState())
-                st.files.append(path)
-                st.rows += int(live)
-                st.applied_lsn = man.applied_lsn
-                if zstats:
-                    st.file_stats[path] = zstats
+        self._migrate(man, new_man, affected, {**known, **new_keys}, num_partitions)
         new_man.history.append(
             {
                 "op": "salt",
-                "version": version,
+                "version": new_man.version,
                 "keys": sorted(new_keys),
                 "fanout": fanout,
-                "partitions_migrated": len(metas),
+                "partitions_migrated": len(affected),
                 **self.run_context.as_dict(),
             }
         )
         self._prune_retained(new_man)
-        self._invalidate_retention_coverage(new_man, folded=bool(metas))
+        self._invalidate_retention_coverage(new_man, folded=True)
         self.store.commit(new_man)
         self.manifest = new_man
         return new_keys
@@ -2144,70 +2145,30 @@ class CDCEngine:
                 "salt fanout exceeds the new partition count; unsalt or pick "
                 f"new_num_partitions >= {max(int(v) for v in salt_map.values())}"
             )
-        lake = man.schema
-        version = man.version + 1
         affected = [pid for pid in sorted(man.partitions) if man.partitions[pid].files]
-        metas = ray.get(
-            [
-                _resalt_partition_task.remote(
-                    self.table_dir,
-                    pid,
-                    man.partitions[pid].files,
-                    lake,
-                    self.key_cols,
-                    salt_map,
-                    new_p,
-                    version,
-                    man.applied_lsn,
-                )
-                for pid in affected
-            ]
-        )
         new_man = Manifest.from_json(man.to_json())
-        new_man.version = version
+        new_man.version = man.version + 1
         new_man.num_partitions = new_p
-        # every old file retires (retention registry) and the partition map
-        # is rebuilt from scratch at the new modulus
-        for pid in affected:
-            self._retire_deltas(new_man, man.partitions[pid].files)
+        # the partition map is rebuilt from scratch at the new modulus
         new_man.partitions = {}
-        rows_moved = 0
-        for m in metas:
-            src = int(m["pid"])
-            if m["kept_path"]:
-                # 'kept' = new pid happens to equal the old number (only
-                # possible when src < new_p)
-                st = new_man.partitions.setdefault(src, PartitionState())
-                st.files.append(m["kept_path"])
-                st.rows += int(m["kept_live"])
-                st.applied_lsn = man.applied_lsn
-                if m.get("kept_stats"):
-                    st.file_stats[m["kept_path"]] = m["kept_stats"]
-            for tpid, (path, live, zstats) in m["moved"].items():
-                st = new_man.partitions.setdefault(int(tpid), PartitionState())
-                st.files.append(path)
-                st.rows += int(live)
-                st.applied_lsn = man.applied_lsn
-                rows_moved += int(live)
-                if zstats:
-                    st.file_stats[path] = zstats
+        rows_moved = self._migrate(man, new_man, affected, salt_map, new_p)
         new_man.history.append(
             {
                 "op": "reshard",
-                "version": version,
+                "version": new_man.version,
                 "from_partitions": old_p,
                 "to_partitions": new_p,
-                "partitions_migrated": len(metas),
+                "partitions_migrated": len(affected),
                 **self.run_context.as_dict(),
             }
         )
         self._prune_retained(new_man)
-        self._invalidate_retention_coverage(new_man, folded=bool(metas))
+        self._invalidate_retention_coverage(new_man, folded=bool(affected))
         self.store.commit(new_man)
         self.manifest = new_man
         return {
             "num_partitions": new_p,
-            "partitions_migrated": len(metas),
+            "partitions_migrated": len(affected),
             "rows_moved": rows_moved,
         }
 
@@ -2254,8 +2215,6 @@ class CDCEngine:
         of committed data is still immediate.
 
         Returns counts: rows/files touched, plus ``vacuumed``."""
-        import numpy as np
-
         if not self.key_cols:
             raise ValueError("purge requires a primary-keyed table")
         if not keys:
@@ -2263,16 +2222,8 @@ class CDCEngine:
         man = self.manifest
         lake = man.schema
         key0 = self.key_cols[0]
-        arr = self._coerce_key_array(keys)
-        vals = arr.to_pylist()
-        h = stable_hash_array(arr)
-        salt_map = self.salt_map
-        per_pid: dict[int, set] = {}
-        for i, v in enumerate(vals):
-            fan = int(salt_map.get(v) or salt_map.get(str(v)) or 1)
-            for s in range(fan):
-                pid = int((h[i] + np.uint64(s)) % np.uint64(man.num_partitions))
-                per_pid.setdefault(pid, set()).add(v)
+        vals = self._coerce_key_array(keys).to_pylist()
+        per_pid = self._key_partitions(keys)
         # retained changefeed deltas live outside partitions[].files but
         # still carry the rows — route them by the pid in their basename
         retained_by_pid: dict[int, list[str]] = {}
@@ -2283,10 +2234,10 @@ class CDCEngine:
         new_version = man.version + 1
         task = _purge_pid_task
         futs = []
-        for pid in sorted(per_pid):
+        for pid, pid_vals in per_pid.items():
             pfiles: list[tuple[str, str]] = []
             ps = man.partitions.get(pid)
-            flt = [(key0, "in", sorted(per_pid[pid]))]
+            flt = [(key0, "in", pid_vals)]
             if ps is not None:
                 fstats = ps.pruned_stats()
                 pfiles += [
@@ -2302,7 +2253,7 @@ class CDCEngine:
                         pid,
                         pfiles,
                         key0,
-                        sorted(per_pid[pid]),
+                        pid_vals,
                         lake,
                         new_version,
                     )
@@ -2469,12 +2420,7 @@ class CDCEngine:
         old = self.store.load(version)
         if old is None:
             raise ValueError(f"version {version} not found for {man.table!r}")
-        missing = [f for f in old.data_files() if not os.path.exists(f)]
-        if missing:
-            raise ValueError(
-                f"cannot restore to version {version}: {len(missing)} data "
-                f"files were vacuumed (first: {os.path.basename(missing[0])!r})"
-            )
+        _require_data_files(old, f"restore to version {version}")
         new_man = Manifest.from_json(old.to_json())
         new_man.version = man.version + 1
         # lineage continues from the CURRENT head — a restore is an event
@@ -2543,12 +2489,7 @@ class CDCEngine:
         src_man = self._resolve_manifest(version, None)
         if src_man is None:
             raise ValueError(f"version {version} not found for {self.manifest.table!r}")
-        missing = [f for f in src_man.data_files() if not os.path.exists(f)]
-        if missing:
-            raise ValueError(
-                f"cannot clone version {src_man.version}: {len(missing)} data "
-                f"files were vacuumed (first: {os.path.basename(missing[0])!r})"
-            )
+        _require_data_files(src_man, f"clone version {src_man.version}")
         dst_store = ManifestStore(
             dst_dir,
             backend=commit_backend if commit_backend is not None else self.store.backend,
@@ -2644,12 +2585,7 @@ class CDCEngine:
                 "diff across a reshard or salt-map change is not supported — "
                 "keys moved between partitions; use snapshot-level compare"
             )
-        missing = [f for f in man0.data_files() if not os.path.exists(f)]
-        if missing:
-            raise ValueError(
-                f"cannot diff from version {from_version}: {len(missing)} data "
-                f"files were vacuumed (first: {os.path.basename(missing[0])!r})"
-            )
+        _require_data_files(man0, f"diff from version {from_version}")
         lake = man1.schema  # diff is reported in the NEWER schema
         key_cols = self.key_cols
         public = self._public_schema(lake).names
@@ -2666,25 +2602,13 @@ class CDCEngine:
             }
             for pid in pids
         ]
-        if not parts:
-            return ray.data.from_arrow(out_schema.empty_table())
 
-        def resolve(batch: pa.Table):
-            _single_threaded_arrow()
-            yielded = False
-            for row in batch.to_pylist():
-                for chunk in _diff_partition_chunks(
-                    list(row["files0"]), list(row["files1"]),
-                    lake, key_cols, public, out_schema,
-                ):
-                    yielded = True
-                    yield chunk
-            if not yielded:
-                yield out_schema.empty_table()
+        def per_part(item: dict):
+            return _diff_partition_chunks(
+                item["files0"], item["files1"], lake, key_cols, public, out_schema
+            )
 
-        return ray.data.from_items(parts).map_batches(
-            resolve, batch_format="pyarrow", batch_size=1
-        )
+        return _partition_dataset(parts, per_part, out_schema.empty_table())
 
     def fsck(self) -> dict:
         """Consistency audit of the committed table — fsck for the lake.
@@ -2767,8 +2691,6 @@ class CDCEngine:
         after a consumer read its head are excluded, so the window
         matches the range its name claims even under a concurrent
         committer)."""
-        import re
-
         man = self.manifest
         retention_on = self.changefeed_retention_lsn is not None
         floor = int(man.properties.get("changefeed_floor", 0))
@@ -2777,11 +2699,10 @@ class CDCEngine:
                 f"changes since {since_lsn} are past the retention floor "
                 f"({floor}); replay from a snapshot"
             )
-        cdc_name = _CDC_FILE_RE
         delta_files: list[tuple[int, str]] = []
         for pid in sorted(man.partitions):
             for f in man.partitions[pid].files:
-                m = cdc_name.match(os.path.basename(f))
+                m = _CDC_FILE_RE.match(os.path.basename(f))
                 if m is None:
                     # overwrite/append writer files carry no epoch lineage
                     raise RuntimeError(
@@ -2820,7 +2741,7 @@ class CDCEngine:
                 if up_to_lsn is not None and int(e["epoch_id"]) > up_to_lsn:
                     continue
                 if int(e["epoch_id"]) > since_lsn:
-                    m = cdc_name.match(os.path.basename(e["path"]))
+                    m = _CDC_FILE_RE.match(os.path.basename(e["path"]))
                     delta_files.append((int(m.group(2)) if m else -1, e["path"]))
         return delta_files
 
@@ -2865,31 +2786,10 @@ class CDCEngine:
         by_pid: dict[int, list[str]] = {}
         for pid, f in self._changefeed_files(since_lsn, up_to_lsn):
             by_pid.setdefault(pid, []).append(f)
-        if not by_pid:
-            return ray.data.from_arrow(lake.empty_table())
         parts = [{"pid": pid, "files": by_pid[pid]} for pid in sorted(by_pid)]
         key_cols = self.key_cols
-
-        def resolve(batch: pa.Table):
-            _single_threaded_arrow()
-            yielded = False
-            for row in batch.to_pylist():
-                files = list(row["files"])
-                if key_cols and len(key_cols) <= 2 and _is_cdc_sorted(files):
-                    for chunk in iter_merged_partition(files, lake, key_cols):
-                        if chunk.num_rows:
-                            yielded = True
-                            yield chunk
-                else:
-                    t = merge_partition_files(files, lake, key_cols)
-                    if t.num_rows:
-                        yielded = True
-                        yield t
-            if not yielded:
-                yield lake.empty_table()
-
-        return ray.data.from_items(parts).map_batches(
-            resolve, batch_format="pyarrow", batch_size=1
+        return _partition_dataset(
+            parts, lambda item: partition_chunks(item["files"], lake, key_cols), lake.empty_table()
         )
 
     def read_changes(self, since_lsn: int) -> pa.Table:
@@ -2928,6 +2828,24 @@ class CDCEngine:
                     f"{key0!r} of type {ktype}"
                 ) from e
 
+    def _key_partitions(self, keys: list) -> dict[int, list]:
+        """THE key→partition router for leading-PK values: ``{pid: sorted
+        key values}`` in pid order, salt fanout included (a salted key is
+        listed under each of its fanout partitions). Serves
+        :meth:`lookup`, :meth:`purge` and the writer's delete scan."""
+        import numpy as np
+
+        arr = self._coerce_key_array(keys)
+        h = stable_hash_array(arr)
+        num_partitions = np.uint64(self.manifest.num_partitions)
+        salt_map = self.salt_map
+        per_pid: dict[int, set] = {}
+        for hv, v in zip(h, arr.to_pylist()):
+            fan = int(salt_map.get(v) or salt_map.get(str(v)) or 1)
+            for s in range(fan):
+                per_pid.setdefault(int((hv + np.uint64(s)) % num_partitions), set()).add(v)
+        return {pid: sorted(per_pid[pid]) for pid in sorted(per_pid)}
+
     def lookup(self, keys: list) -> pa.Table:
         """Point read by LEADING primary-key value(s) — the CDC lake's
         key-value GET. Touches ONLY the partitions the keys hash to (salt
@@ -2941,8 +2859,6 @@ class CDCEngine:
         Driver-side by contract: point results are small (a handful of
         entities); for bulk key-range scans use
         ``snapshot(pids=...)`` + a filter stage instead."""
-        import numpy as np
-
         man = self.manifest
         lake = man.schema
         public = self._public_schema(lake)
@@ -2951,22 +2867,13 @@ class CDCEngine:
         key0 = self.key_cols[0]
         if not keys:
             return public.empty_table()
-        arr = self._coerce_key_array(keys)
-        h = stable_hash_array(arr)
-        salt_map = self.salt_map
-        per_pid: dict[int, set] = {}
-        for i, v in enumerate(arr.to_pylist()):
-            fan = int(salt_map.get(v) or salt_map.get(str(v)) or 1)
-            for s in range(fan):
-                pid = int((h[i] + np.uint64(s)) % np.uint64(man.num_partitions))
-                per_pid.setdefault(pid, set()).add(v)
         parts = []
-        for pid in sorted(per_pid):
+        for pid, vals in self._key_partitions(keys).items():
             if pid not in man.partitions:
                 continue
             ps = man.partitions[pid]
             fstats = ps.pruned_stats()
-            flt = [(key0, "in", sorted(per_pid[pid]))]
+            flt = [(key0, "in", vals)]
             for f in ps.files:
                 # manifest zone maps first (no file open at all), then the
                 # parquet reader's row-group statistics prune within the file
@@ -3058,7 +2965,6 @@ def _fsck_partition_task(
 
     _single_threaded_arrow()
     issues: list[str] = []
-    cdc_name = _CDC_FILE_RE
     for f in files:
         base = os.path.basename(f)
         if not os.path.exists(f):
@@ -3070,7 +2976,7 @@ def _fsck_partition_task(
             issues.append(f"pid {pid}: unreadable {base}: {e}")
             continue
         issues.extend(_fsck_zone_stats(pid, f, (file_stats or {}).get(f)))
-        m = cdc_name.match(base)
+        m = _CDC_FILE_RE.match(base)
         if m:
             epoch_id = int(m.group(3))
             if epoch_id > table_lsn:

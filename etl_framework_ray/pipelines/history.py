@@ -34,12 +34,9 @@ source and the IVM views.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 from ..context import DEFAULT_NUM_PARTITIONS
 from ..state.schema import ColumnSpec, TableSpec, TRANSCRIPTS
@@ -47,7 +44,8 @@ from ..stages.lww import last_per_key_mask
 from .cdc import (
     CDCEngine,
     DELETED_COL,
-    _single_threaded_arrow,
+    _iter_table_chunks,
+    _partition_dataset,
     merge_partition_files,
 )
 
@@ -239,27 +237,16 @@ class HistoryTable:
             if ps.files
         ]
 
-        def resolve(batch: pa.Table):
-            _single_threaded_arrow()
-            yielded = False
-            for row in batch.to_pylist():
-                t = merge_partition_files(list(row["files"]), lake, key_cols)
-                t = t.filter(pc.invert(t.column(DELETED_COL)))
-                if t.num_rows:
-                    t = _history_intervals(t, base_key)
-                    t = _interval_filter(t, asof, current_only)
-                    t = _post(t) if _post is not None else t.select(out_names)
-                for lo in range(0, t.num_rows, chunk_rows):
-                    yielded = True
-                    yield t.slice(lo, chunk_rows)
-            if not yielded:
-                yield _empty_out(lake, out_names)
+        def per_part(item: dict):
+            t = merge_partition_files(item["files"], lake, key_cols)
+            t = t.filter(pc.invert(t.column(DELETED_COL)))
+            if t.num_rows:
+                t = _history_intervals(t, base_key)
+                t = _interval_filter(t, asof, current_only)
+                t = _post(t) if _post is not None else t.select(out_names)
+            return _iter_table_chunks(t, chunk_rows)
 
-        if not parts:
-            return ray.data.from_arrow(_empty_out(lake, out_names))
-        return ray.data.from_items(parts).map_batches(
-            resolve, batch_format="pyarrow", batch_size=1
-        )
+        return _partition_dataset(parts, per_part, _empty_out(lake, out_names))
 
     def read_arrow(self, **kw) -> pa.Table:
         """Driver-side history (tests/oracles on small tables), sorted by

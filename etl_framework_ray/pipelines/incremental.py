@@ -160,19 +160,6 @@ def _run_partitions(body, ctx: dict, items: list[dict]) -> list[dict]:
     return ray.get([_view_partition_task.remote(body, ctx_ref, it) for it in items])
 
 
-def _merged_chunks(files: list[str], lake_sch: pa.Schema, key_cols):
-    """The merge-on-read state of one partition's file stack: streamed
-    k-way chunks (peak memory O(chunk x files)) when the stack is
-    CDC-sorted, else one merged table."""
-    from .cdc import _is_cdc_sorted, iter_merged_partition, merge_partition_files
-
-    if not files:
-        return iter(())
-    if key_cols and len(key_cols) <= 2 and _is_cdc_sorted(files):
-        return iter_merged_partition(files, lake_sch, key_cols)
-    return iter([merge_partition_files(files, lake_sch, key_cols)])
-
-
 def _live_rows(chunk: pa.Table, key: str, num_partitions: int, pid: int, touched) -> pa.Table:
     """Live rows of ``chunk`` whose UNSALTED ``key`` hash routes to view
     partition ``pid`` and, unless ``touched`` is None (a rebuild), is in
@@ -201,9 +188,11 @@ def rebuild_partition(ctx: dict, item: dict) -> dict:
     rows of the previous view file, write the new file (and, when the
     view emits changes, its REPLACE delta). ``ctx`` is the advance's
     shared context, ``item`` this partition's files and output paths."""
+    from .cdc import partition_chunks
+
     pid, touched, kernel, version = item["pid"], ctx["touched"], ctx["kernel"], ctx["version"]
     partials = []
-    for chunk in _merged_chunks(item["files"], ctx["lake_schema"], ctx["key_cols"]):
+    for chunk in partition_chunks(item["files"], ctx["lake_schema"], ctx["key_cols"]):
         sel = _live_rows(chunk, "conv_id", ctx["num_partitions"], pid, touched)
         if sel.num_rows:
             partials.append(kernel.partial(sel))
@@ -1994,17 +1983,19 @@ def join_partition(ctx: dict, item: dict) -> dict:
     merge the dimension side once (O(keys/P) rows), join it to each
     streamed chunk of the fact side, splice in the untouched rows of the
     previous view file and write the new file."""
+    from .cdc import partition_chunks
+
     pid, touched, on, P = item["pid"], ctx["touched"], ctx["on"], ctx["num_partitions"]
     out_schema, r_cols = ctx["out_schema"], [on] + ctx["right_cols"]
     r_live = pa.concat_tables(
         [
             _live_rows(c, on, P, pid, touched).select(r_cols)
-            for c in _merged_chunks(item["r_files"], ctx["r_schema"], ctx["r_keys"])
+            for c in partition_chunks(item["r_files"], ctx["r_schema"], ctx["r_keys"])
         ]
         or [out_schema.empty_table().select(r_cols)]
     )
     pieces: list[pa.Table] = []
-    for chunk in _merged_chunks(item["l_files"], ctx["l_schema"], ctx["l_keys"]):
+    for chunk in partition_chunks(item["l_files"], ctx["l_schema"], ctx["l_keys"]):
         sel = _live_rows(chunk, on, P, pid, touched).select(ctx["left_names"])
         if sel.num_rows:
             j = sel.join(

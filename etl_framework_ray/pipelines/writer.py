@@ -485,22 +485,10 @@ class LakeWriter:
         if "ts" not in lake_cols or not set(kc) <= lake_cols:
             return None
         # partition pushdown: the delete keys hash-route to a known pid
-        # subset (salt fanout included, same derivation as lookup()) — a
+        # subset (the engine's key router, salt fanout included) — a
         # trickle delete must scan O(touched partitions), not the table
-        import numpy as _np
-
-        from ..functions.hashing import stable_hash_array as _sha
-
-        key0_vals = keys_df[kc[0]].drop_duplicates()
-        h = _sha(pa.Array.from_pandas(key0_vals))
-        salt_map = self.engine.salt_map
-        P = int(self.engine.manifest.num_partitions)
-        pids: set[int] = set()
-        for i, v in enumerate(key0_vals.tolist()):
-            fan = int(salt_map.get(v) or salt_map.get(str(v)) or 1)
-            for s_ in range(fan):
-                pids.add(int((h[i] + _np.uint64(s_)) % _np.uint64(P)))
-        snap = self.engine.snapshot(pids=sorted(pids), columns=[*kc, "ts"])
+        pids = self.engine._key_partitions(keys_df[kc[0]].drop_duplicates().tolist())
+        snap = self.engine.snapshot(pids=list(pids), columns=[*kc, "ts"])
         parts = snap.map_batches(partial_max, batch_format="pyarrow").take_all()
         if not parts:
             return None
