@@ -23,10 +23,11 @@ from etl_framework_ray.state.schema import ColumnSpec, TableSpec
 PKG = pathlib.Path(etl_framework_ray.__file__).parent
 
 
-def _callers(name: str) -> set[tuple[str, str | None]]:
-    """``(module path, innermost enclosing def)`` of every call in the
-    package whose callee is named ``name`` (bare or as an attribute)."""
-    found: set[tuple[str, str | None]] = set()
+def _calls(name: str) -> list[tuple[str, str | None, ast.Call]]:
+    """``(module path, innermost enclosing def, call node)`` of every call
+    in the package whose callee is named ``name`` (bare or as an
+    attribute)."""
+    found: list[tuple[str, str | None, ast.Call]] = []
     for path in sorted(PKG.rglob("*.py")):
         rel = path.relative_to(PKG).as_posix()
 
@@ -39,11 +40,22 @@ def _callers(name: str) -> set[tuple[str, str | None]]:
                     f = child.func
                     callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                     if callee == name:
-                        found.add((rel, fn))
+                        found.append((rel, fn, child))
                 visit(child, fn)
 
         visit(ast.parse(path.read_text()), None)
     return found
+
+
+def _callers(name: str) -> set[tuple[str, str | None]]:
+    """``(module path, innermost enclosing def)`` of every call named ``name``."""
+    return {(rel, fn) for rel, fn, _call in _calls(name)}
+
+
+def _on_pq(call: ast.Call) -> bool:
+    """True iff the call is ``pq.<attr>(...)``."""
+    f = call.func
+    return isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "pq"
 
 
 def test_partition_read_has_one_implementation():
@@ -53,6 +65,29 @@ def test_partition_read_has_one_implementation():
     assert _callers("from_items") == {
         ("pipelines/cdc.py", "_partition_dataset"),
         ("pipelines/publish.py", "publish_snapshot"),
+    }
+
+
+def test_keyed_reads_and_data_writes_have_one_implementation():
+    """Point reads go through the keyed file probe (``cdc._read_keys``),
+    never a dataset-API filter that decodes whole files, and every lake
+    data file is written by ``cdc._write_data_file`` (bounded row
+    groups); the DQ failure file is the one other parquet write."""
+    filtered = {
+        (rel, fn)
+        for rel, fn, call in _calls("read_table")
+        if rel.startswith("pipelines/") and _on_pq(call)
+        and any(k.arg == "filters" for k in call.keywords)
+    }
+    assert filtered == set()
+    writes = {
+        (rel, fn)
+        for rel, fn, call in _calls("write_table")
+        if rel == "pipelines/cdc.py" and _on_pq(call)
+    }
+    assert writes == {
+        ("pipelines/cdc.py", "_write_data_file"),
+        ("pipelines/cdc.py", "_dq_gate_changes"),
     }
 
 
