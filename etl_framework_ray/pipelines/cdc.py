@@ -169,6 +169,23 @@ def pruned_lake_schema(
     return pa.schema([f for f in lake_sch if f.name in need])
 
 
+def _read_pruned(path: str, lake_sch: pa.Schema, conjuncts=None) -> pa.Table:
+    """One lake data file, normalized to ``lake_sch``, decoding only the
+    row groups whose footer stats could satisfy ``conjuncts``
+    (``zone.qualifying_row_groups``; PK-only under merge-on-read)."""
+    pf = pq.ParquetFile(path)
+    have = set(pf.schema_arrow.names)
+    cols = [n for n in lake_sch.names if n in have]
+    keep = zone.qualifying_row_groups(pf, conjuncts) if conjuncts else None
+    if keep == []:
+        t = pf.schema_arrow.empty_table().select(cols)
+    elif keep is None:
+        t = pf.read(columns=cols)
+    else:
+        t = pf.read_row_groups(keep, columns=cols)
+    return normalize_table(t, lake_sch)
+
+
 def merge_partition_files(
     files: list[str],
     lake_sch: pa.Schema,
@@ -181,19 +198,7 @@ def merge_partition_files(
     footer stats (PK-only under merge — see _iter_file_chunks)."""
     if not files:
         return lake_sch.empty_table()
-
-    def read_pruned(f: str) -> pa.Table:
-        pf = pq.ParquetFile(f)
-        have = set(pf.schema_arrow.names)
-        cols = [n for n in lake_sch.names if n in have]
-        keep = zone.qualifying_row_groups(pf, conjuncts) if conjuncts else None
-        if keep == []:
-            return pf.schema_arrow.empty_table().select(cols)
-        if keep is None:
-            return pf.read(columns=cols)
-        return pf.read_row_groups(keep, columns=cols)
-
-    tables = [normalize_table(read_pruned(f), lake_sch) for f in files]
+    tables = [_read_pruned(f, lake_sch, conjuncts) for f in files]
     t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
     if not key_cols:
         return t  # PK-less (append-only) table: plain concat, no reduce
@@ -300,42 +305,15 @@ def _write_data_file(t: pa.Table, path: str) -> None:
 
 def _read_keys(path: str, lake_sch: pa.Schema, key0: str, vals: list) -> pa.Table:
     """THE keyed file probe: rows of one lake data file whose leading key
-    is in ``vals``, normalized to ``lake_sch``. Decodes only the row
-    groups whose footer min/max on ``key0`` brackets some wanted key —
-    one ``searchsorted`` of the sorted keys against every group's bounds,
-    O(groups × log keys). A group without usable stats, or a key the
-    stats family cannot order, is read (never a wrong answer)."""
-    import numpy as np
-
+    is in ``vals``, normalized to ``lake_sch``. Row groups are selected by
+    the scan path's own selector (:func:`_read_pruned` with one ``in``
+    conjunct), so only groups whose footer key range holds a wanted key
+    are decoded; an ``is_in`` residual drops the rest."""
     if not vals:
         return lake_sch.empty_table()
-    pf = pq.ParquetFile(path)
-    md = pf.metadata
-    sch = pf.schema_arrow
-    groups = range(md.num_row_groups)
-    stats = [zone._one_row_group_stats(md.row_group(g), sch, {key0}).get(key0) for g in groups]
-    fam = zone._family(sch.field(key0).type)
-    canon = [zone._canon(v, fam) for v in vals] if fam else []
-    keep = list(groups)
-    if canon and None not in canon:
-        keys = np.array(sorted(set(canon)), dtype=object)
-        # an all-null group (min None) holds no key; a truncated (open)
-        # max is unbounded above, so it reaches the largest wanted key
-        ranged = [g for g in groups if stats[g] is not None and stats[g]["min"] is not None]
-        lo = np.array([stats[g]["min"] for g in ranged], dtype=object)
-        hi = np.array(
-            [keys[-1] if stats[g]["open"] else stats[g]["max"] for g in ranged], dtype=object
-        )
-        hit = np.searchsorted(keys, hi, "right") > np.searchsorted(keys, lo, "left")
-        ranged_hit = dict(zip(ranged, hit.tolist()))
-        keep = [g for g in groups if ranged_hit.get(g, stats[g] is None)]  # no stats: read
-    if not keep:
-        return lake_sch.empty_table()
-    have = set(sch.names)
-    t = pf.read_row_groups(keep, columns=[n for n in lake_sch.names if n in have])
+    t = _read_pruned(path, lake_sch, [(key0, "in", vals)])
     key = t.column(key0)
-    t = t.filter(pc.is_in(key, value_set=pa.array(vals, key.type)))
-    return normalize_table(t, lake_sch)
+    return t.filter(pc.is_in(key, value_set=pa.array(vals, key.type)))
 
 
 def _read_prior_rows(
@@ -1016,12 +994,14 @@ def _purge_pid_task(
         table_dir, "data", f"part={pid:05d}", f"purge=v{new_version:08d}"
     )
     for path, kind in files:
-        # probe first: only a file that holds a purged key is decoded whole
-        dropped = _read_keys(path, lake_sch, key0, vals)
-        if not dropped.num_rows:
+        # the probe is only a gate: a file holding no purged key is never
+        # decoded whole
+        if not _read_keys(path, lake_sch, key0, vals).num_rows:
             continue
         t = normalize_table(pq.read_table(path), lake_sch)
-        kept = t.filter(pc.invert(pc.is_in(t.column(key0), value_set=key_set)))
+        mask = pc.is_in(t.column(key0), value_set=key_set)
+        dropped = t.filter(mask)
+        kept = t.filter(pc.invert(mask))
         live_removed = int(
             dropped.num_rows - (pc.sum(dropped.column(DELETED_COL)).as_py() or 0)
         )
@@ -2898,10 +2878,13 @@ class CDCEngine:
         key-value GET. Touches ONLY the partitions the keys hash to (salt
         fanout included), skips files whose manifest zone map excludes
         every key, and reads the rest through the keyed probe
-        :func:`_read_keys`: engine files are PK-sorted in row groups of at
-        most ``ROW_GROUP_ROWS`` rows, so a lookup decodes O(row groups
-        containing the key) per file — at most ``ROW_GROUP_ROWS`` rows per
-        group, plus one footer scan that is O(row groups per file). The
+        :func:`_read_keys`, which decodes only the row groups whose footer
+        key range holds a key, after one footer scan that is O(row groups
+        per file). Files the CDC engine writes are PK-sorted in row groups
+        of at most ``ROW_GROUP_ROWS`` rows, so there a lookup decodes
+        O(row groups containing the key) × ``ROW_GROUP_ROWS`` rows per
+        file. ``LakeWriter`` overwrite/append staging files keep Ray
+        Data's default row-group size and are not bounded this way. The
         merged result is LWW-reduced, tombstones dropped, public columns,
         PK-sorted.
 

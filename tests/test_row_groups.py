@@ -1,6 +1,6 @@
 """Bounded row groups and the keyed file probe.
 
-Every lake data file the engine writes carries row groups of at most
+Every lake data file the CDC engine writes carries row groups of at most
 ``cdc.ROW_GROUP_ROWS`` rows, and point reads (``lookup``, the patch fold's
 ``_read_prior_rows``, ``purge``) decode only the groups whose leading-key
 footer range brackets a wanted key (``cdc._read_keys``). The first test
