@@ -10,6 +10,15 @@ view's partition files — untouched partitions carry forward by reference,
 untouched conversations inside a touched partition carry forward from the
 previous view file.
 
+Every view here is one :class:`MaintainedView` — a single driver for any
+number of co-partitioned source engines. The rollup family is its
+one-source case and ``IncrementalJoin`` its two-source case: they share
+one implementation of state, advance, commit, reads, audit and metrics,
+and differ only in the per-partition body, its context, the view
+fingerprint and the sort key. ``replica.ReplicaTable`` keeps its
+directory through the same load / commit-and-prune / audit / read
+helpers.
+
 Why group-level recompute rather than differential deltas: the rollup's
 ``last_ts = MAX(ts)`` is NOT an invertible aggregate (and updates/deletes
 would need before-images the changefeed deliberately does not carry), so
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 import uuid
 
 import numpy as np
@@ -53,7 +63,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-from ..functions.hashing import stable_hash_array
+from ..functions.hashing import partition_ids, stable_hash_array
 from ..stages.util import in_sorted
 
 #: public schema of the maintained view (matches publish.conversation_rollup
@@ -70,15 +80,11 @@ VIEW_SCHEMA = pa.schema(
 
 _MANIFEST = "_view_manifest.json"
 _CHANGES_DIR = "_changes"
-
-
-def _conv_hashes(t_or_col) -> np.ndarray:
-    col = t_or_col.column("conv_id") if isinstance(t_or_col, pa.Table) else t_or_col
-    return stable_hash_array(col)
+_METRICS = "_view_metrics.jsonl"
 
 
 @ray.remote
-def _touched_hashes_task(path: str, key_col: str = "conv_id") -> np.ndarray:
+def _touched_hashes_task(path: str, key_col: str) -> np.ndarray:
     """Unique key hashes present in one delta file (column-pruned read;
     output is O(distinct keys in the file))."""
     from .cdc import _single_threaded_arrow
@@ -125,9 +131,7 @@ def _prune_view_dir(dirpath: str, live: set[str], grace_s: float) -> None:
     directory, graced so lazy readers of the PREVIOUS version finish
     their file lists (``prune_grace_s`` doc on the view classes);
     survivors go on a later commit's pass."""
-    import time as _time
-
-    cutoff = _time.time() - grace_s
+    cutoff = time.time() - grace_s
     for name in os.listdir(dirpath):
         # superseded parquet AND crash-orphaned .tmp residue (a task
         # killed between write and rename)
@@ -139,6 +143,94 @@ def _prune_view_dir(dirpath: str, live: set[str], grace_s: float) -> None:
                 os.remove(full)
         except FileNotFoundError:
             pass  # another committer's prune won the race
+
+
+# -- the versioned partition directory: a maintained view and a replica
+# (replica.py) keep their state the same way — a JSON manifest listing one
+# parquet file per non-empty hash partition, swapped atomically per commit
+
+
+def _load_dir(dirpath: str, manifest: str) -> dict | None:
+    """The committed state of a partition directory, None before its
+    first commit."""
+    path = os.path.join(dirpath, manifest)
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        return json.load(f)
+
+
+def _commit_dir(dirpath: str, manifest: str, state: dict, grace_s: float) -> None:
+    """Commit ``state`` as a versioned manifest swap (tmp + rename), then
+    prune the partition files it no longer lists. The prune runs AFTER
+    the swap, so readers of the previous version never race a delete."""
+    path = os.path.join(dirpath, manifest)
+    tmp = f"{path}.tmp-{os.getpid()}"
+    with open(tmp, "w") as f:
+        json.dump(state, f)
+    os.replace(tmp, path)
+    _prune_view_dir(dirpath, {os.path.basename(p) for p in state["files"].values()}, grace_s)
+
+
+def _audit_dir(
+    dirpath: str, state: dict | None, key_col: str, label: str
+) -> tuple[int, list[str]]:
+    """Audit a partition directory's files: a missing manifest with data
+    files present is a finding; every listed file exists with a readable
+    footer and its rows hash-route (``key_col``) to its partition.
+    ``label`` ("view " or "") names the files in the issue strings.
+    Returns ``(files checked, issues)``."""
+    if state is None:
+        orphans = [f for f in os.listdir(dirpath) if f.endswith(".parquet")]
+        if not orphans:
+            return 0, []
+        return 0, [f"no {label}manifest but {len(orphans)} data file(s) present"]
+    issues: list[str] = []
+    P = int(state["num_partitions"])
+    for pid_s, f in sorted(state["files"].items()):
+        if not os.path.exists(f):
+            issues.append(f"pid {pid_s}: missing {label}file {os.path.basename(f)}")
+            continue
+        try:
+            t = pq.read_table(f, columns=[key_col])
+        except Exception as e:
+            issues.append(f"pid {pid_s}: unreadable {os.path.basename(f)}: {e}")
+            continue
+        if t.num_rows and (partition_ids(t.column(key_col), P) != int(pid_s)).any():
+            issues.append(f"pid {pid_s}: row routed to wrong {label}partition")
+    return len(state["files"]), issues
+
+
+def _read_dir(state: dict | None, schema: pa.Schema) -> "ray.data.Dataset":
+    """A partition directory's committed files as a lazy Dataset."""
+    files = sorted(state["files"].values()) if state else []
+    if not files:
+        return ray.data.from_arrow(schema.empty_table())
+    return ray.data.read_parquet(files)
+
+
+def _read_dir_arrow(state: dict | None, schema: pa.Schema, sort_keys: list[str]) -> pa.Table:
+    """A partition directory's committed rows, driver-side, key-sorted."""
+    files = sorted(state["files"].values()) if state else []
+    if not files:
+        return schema.empty_table()
+    t = pa.concat_tables([pq.read_table(f) for f in files])
+    return t.sort_by([(c, "ascending") for c in sort_keys])
+
+
+def _splice_results(files: dict[str, str], results: list[dict]) -> int:
+    """Fold per-partition rewrite results into ``files`` (pid -> path): a
+    partition left empty drops out and its just-written file is removed.
+    Returns the rows written."""
+    rows = 0
+    for r in results:
+        rows += int(r["rows"])
+        if r["rows"]:
+            files[str(r["pid"])] = r["path"]
+        else:
+            files.pop(str(r["pid"]), None)
+            os.remove(r["path"])
+    return rows
 
 
 @ray.remote
@@ -192,7 +284,7 @@ def rebuild_partition(ctx: dict, item: dict) -> dict:
 
     pid, touched, kernel, version = item["pid"], ctx["touched"], ctx["kernel"], ctx["version"]
     partials = []
-    for chunk in partition_chunks(item["files"], ctx["lake_schema"], ctx["key_cols"]):
+    for chunk in partition_chunks(item["files"][0], *ctx["sources"][0]):
         sel = _live_rows(chunk, "conv_id", ctx["num_partitions"], pid, touched)
         if sel.num_rows:
             partials.append(kernel.partial(sel))
@@ -202,7 +294,7 @@ def rebuild_partition(ctx: dict, item: dict) -> dict:
     gone = pa.array([], pa.string())
     if touched is not None and item["old_file"]:
         old = pq.read_table(item["old_file"])
-        touched_mask = in_sorted(_conv_hashes(old), touched)
+        touched_mask = in_sorted(stable_hash_array(old.column("conv_id")), touched)
         old_kept = old.filter(pa.array(~touched_mask))
         if old_kept.num_rows:
             pieces.append(old_kept)
@@ -383,25 +475,46 @@ class ToolUsageKernel:
         )
 
 
-class IncrementalRollup:
-    """Incrementally-maintained view of a ``CDCEngine`` table — by default
-    the ``conversation_rollup`` aggregate; pass ``kernel=CorpusKernel()``
-    (or use :class:`IncrementalCorpus`) to maintain the assembled SFT
-    corpus instead. One instance per view directory; all durable state
-    lives in the directory (versioned manifest + partition files), so it
-    is safe to re-create after a crash. Single-writer: concurrent
-    ``advance()`` calls on the same view directory are not supported
-    (matching the engine's own single-committer contract)."""
+def _advance_result(watermarks: list[int], convs: int, partitions: int, rows: int) -> dict:
+    """The one result (and metrics-row) shape of every view run."""
+    return {
+        "watermarks": list(watermarks),
+        "watermark_lsn": watermarks[0],
+        "touched_convs": convs,
+        "touched_partitions": partitions,
+        "rows_written": rows,
+    }
 
-    def __init__(self, engine, view_dir: str, kernel=None, emit_changes: bool = False):
-        self.engine = engine
+
+class MaintainedView:
+    """The one maintained-view driver: a view over N co-partitioned CDC
+    engines (``sources``) kept fresh from their changefeeds. The rollup
+    family is the one-source case (:class:`IncrementalRollup`), the join
+    the two-source case (:class:`IncrementalJoin`); subclasses supply
+    only the partition body (``_body``, a module function run once per
+    touched partition), its extra context (``_context``) and the
+    fingerprint that guards a view directory against another view's rows.
+
+    All durable state lives in the directory: a versioned manifest
+    (``version``, one applied LSN per source in ``watermarks``,
+    ``files``, ``num_partitions``, ``fingerprint``, ``delta_floor``,
+    ``deltas``) plus partition files, so an instance is safe to re-create
+    after a crash. Single-writer: concurrent ``advance()`` calls on the
+    same directory are not supported (matching the engine's own
+    single-committer contract)."""
+
+    #: only the rollup family writes a view changefeed (see
+    #: :meth:`IncrementalRollup.changes`)
+    emit_changes = False
+
+    def __init__(self, sources: list, view_dir: str, schema: pa.Schema, key: str, sort_keys):
+        self.sources = list(sources)
         self.view_dir = view_dir
-        self.kernel = kernel if kernel is not None else RollupKernel()
-        #: when True, every advance() also writes a row-level VIEW
-        #: CHANGEFEED (see :meth:`changes`) — computed inside the partition
-        #: task where the old and new rows are already in hand, so the
-        #: delta costs one extra small parquet write per touched partition
-        self.emit_changes = bool(emit_changes)
+        #: published view schema (what an empty view reads as)
+        self.schema = schema
+        #: view key: touched-key discovery, routing and the audit hash it
+        self.key = key
+        self.sort_keys = list(sort_keys)
         #: grace (seconds) before a SUPERSEDED view/delta file is pruned
         #: after the commit that replaced it — the view analogue of the
         #: lake's ``vacuum(grace_s=...)``: ``read()``/``changes()`` return
@@ -415,52 +528,304 @@ class IncrementalRollup:
 
     # -- durable state -------------------------------------------------
     def _load_state(self) -> dict | None:
-        path = os.path.join(self.view_dir, _MANIFEST)
-        if not os.path.exists(path):
-            return None
-        with open(path) as f:
-            return json.load(f)
+        return _load_dir(self.view_dir, _MANIFEST)
 
     def _commit_state(self, state: dict) -> None:
-        path = os.path.join(self.view_dir, _MANIFEST)
-        tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(state, f)
-        os.replace(tmp, path)
-        _prune_view_dir(
-            self.view_dir,
-            {os.path.basename(p) for p in state["files"].values()} | {_MANIFEST},
-            self.prune_grace_s,
-        )
+        _commit_dir(self.view_dir, _MANIFEST, state, self.prune_grace_s)
         ch_dir = os.path.join(self.view_dir, _CHANGES_DIR)
         if os.path.isdir(ch_dir):
-            _prune_view_dir(
-                ch_dir,
-                {
-                    os.path.basename(p)
-                    for ps in (state.get("deltas") or {}).values()
-                    for p in ps
-                },
-                self.prune_grace_s,
-            )
+            live = {os.path.basename(p) for ps in state["deltas"].values() for p in ps}
+            _prune_view_dir(ch_dir, live, self.prune_grace_s)
 
     # -- public API ----------------------------------------------------
     @property
-    def watermark(self) -> int:
-        state = self._load_state()
-        return int(state["watermark_lsn"]) if state else 0
-
-    @property
     def version(self) -> int:
         """The view's committed version (0 before the first run) — the
-        cursor :meth:`changes` consumes."""
+        cursor :meth:`IncrementalRollup.changes` consumes."""
         state = self._load_state()
         return int(state["version"]) if state else 0
+
+    @property
+    def watermarks(self) -> tuple[int, ...]:
+        """The applied LSN of each source the view reflects, in source
+        order (zeros before the first run)."""
+        state = self._load_state()
+        if state is None:
+            return (0,) * len(self.sources)
+        return tuple(int(w) for w in state["watermarks"])
+
+    def read(self) -> "ray.data.Dataset":
+        """The maintained view as a Dataset (one read task per partition
+        file; plain Parquet, so downstream pipelines compose normally)."""
+        return _read_dir(self._load_state(), self.schema)
+
+    def read_arrow(self) -> pa.Table:
+        """Driver-side convenience form for tests/small views."""
+        return _read_dir_arrow(self._load_state(), self.schema, self.sort_keys)
+
+    def fsck(self) -> dict:
+        """Consistency audit of the view directory — the view analogue of
+        :meth:`CDCEngine.fsck`. Driver-side (view manifests are small):
+        every listed partition file exists with a readable footer and its
+        rows hash-route to its partition; delta files exist; no source
+        was resharded and no watermark exceeds its source's applied LSN;
+        the continuity floor never exceeds the version; the recorded
+        fingerprint matches this instance. Returns ``{"ok",
+        "files_checked", "issues"}``."""
+        state = self._load_state()
+        n, issues = _audit_dir(self.view_dir, state, self.key, "view ")
+        if state is None:
+            return {"ok": not issues, "files_checked": n, "issues": issues}
+        P = int(state["num_partitions"])
+        for eng, wm in zip(self.sources, state["watermarks"]):
+            man = eng.manifest
+            if int(man.num_partitions) != P:
+                # the same condition advance() fails loud on (reshard
+                # re-homed every key) — an audit must not green-light it
+                issues.append(
+                    f"view built at {P} partitions, table {man.table!r} now at "
+                    f"{man.num_partitions} (reshard): rebuild() required"
+                )
+            if int(wm) > int(man.applied_lsn):
+                issues.append(f"view watermark {wm} above table {man.table!r} {man.applied_lsn}")
+        for v, paths in state["deltas"].items():
+            for p_ in paths:
+                n += 1
+                if not os.path.exists(p_):
+                    issues.append(f"delta v{v}: missing {os.path.basename(p_)}")
+        if int(state["delta_floor"]) > int(state["version"]):
+            issues.append(f"delta floor {state['delta_floor']} above version {state['version']}")
+        if state["fingerprint"] != self._fingerprint():
+            issues.append(
+                f"kernel mismatch: built as {state['fingerprint']!r}, "
+                f"audited as {self._fingerprint()!r}"
+            )
+        return {"ok": not issues, "files_checked": n, "issues": issues}
+
+    def rebuild(self) -> dict:
+        """Full recompute — bootstrap, and the documented recovery after a
+        reshard, a kernel/config change, or lagging past a changefeed
+        retention floor."""
+        return self._run(self._load_state(), full=True)
+
+    def advance(self) -> dict:
+        """Bring the view up to every source's committed LSN. Raises
+        (fail-loud) when the view was built with another fingerprint,
+        when a source was resharded since the last run, or when a
+        watermark is no longer reconstructible from a source's changefeed
+        — call :meth:`rebuild`."""
+        state = self._load_state()
+        if state is not None and state["fingerprint"] != self._fingerprint():
+            raise RuntimeError(
+                f"view at {self.view_dir!r} was built as {state['fingerprint']!r}; "
+                f"advancing it as {self._fingerprint()!r} would mix incompatible "
+                "rows — use the original kernel/config or rebuild()"
+            )
+        return self._run(state, full=state is None)
+
+    def _metrics_append(self, row: dict) -> None:
+        """Append one run's lineage row to ``_view_metrics.jsonl`` — the
+        view analogue of the lake's per-epoch metrics (advisory: written
+        after the commit, so a crash in between loses at most the row,
+        never the state)."""
+        row = {"ts": time.time(), **row}
+        with open(os.path.join(self.view_dir, _METRICS), "a") as f:
+            f.write(json.dumps(row) + "\n")
+
+    def metrics(self) -> pa.Table:
+        """Per-advance lineage history: one row per committed run
+        (version, watermarks, touched counts, rows, wall seconds, whether
+        it was a rebuild, delta files emitted). Driver-side by contract —
+        the file grows one small line per advance."""
+        path = os.path.join(self.view_dir, _METRICS)
+        if not os.path.exists(path):
+            return pa.table({})
+        with open(path) as f:
+            rows = [json.loads(ln) for ln in f if ln.strip()]
+        return pa.Table.from_pylist(rows)
+
+    # -- core ----------------------------------------------------------
+    def _run(self, state: dict | None, full: bool) -> dict:
+        t0 = time.perf_counter()
+        mans = [eng.manifest for eng in self.sources]
+        P = int(mans[0].num_partitions)
+        for man in mans:
+            if not full and int(man.num_partitions) != int(state["num_partitions"]):
+                # a reshard re-homed every key: the view's per-pid
+                # carry-forward files no longer mean what their numbers
+                # say — carrying them forward would resurrect stale rows.
+                # Same contract as lagging past the retention floor.
+                raise RuntimeError(
+                    f"table {man.table!r} was resharded ({state['num_partitions']} -> "
+                    f"{man.num_partitions} partitions) since this view's last "
+                    "advance; call rebuild()"
+                )
+        if any(int(man.num_partitions) != P for man in mans):
+            raise RuntimeError(
+                "tables are not co-partitioned: partition counts "
+                f"{[int(man.num_partitions) for man in mans]} — reshard to match first"
+            )
+        cur = [int(man.applied_lsn) for man in mans]
+        if not full:
+            wms = [int(w) for w in state["watermarks"]]
+            if all(c <= w for c, w in zip(cur, wms)):
+                return _advance_result(wms, 0, 0, 0)
+        # version is MONOTONIC across rebuilds: a rebuild discards files
+        # but must not recycle version numbers, or a delta consumer's
+        # committed cursor would silently alias an unrelated new version
+        version = int(state["version"]) + 1 if state else 1
+        files: dict[str, str] = {} if full else dict(state["files"])
+        deltas: dict[str, list[str]] = {} if full else dict(state["deltas"])
+        delta_floor = version if full else int(state["delta_floor"])
+
+        if full:
+            # a rebuild starts from scratch: carrying forward view files for
+            # partitions whose lake files vanished would resurrect stale
+            # rows. A salted key's HOME partition may hold no files while
+            # its rows live in the fanout partitions — its task must run.
+            touched = None
+            pid_set: set[int] = set()
+            for eng, man in zip(self.sources, mans):
+                pid_set |= {pid for pid, ps in man.partitions.items() if ps.files}
+                if eng.salt_map:
+                    h = stable_hash_array(np.array(list(eng.salt_map), dtype=object))
+                    pid_set |= {int(p) for p in h % np.uint64(P)}
+            touched_pids = sorted(pid_set)
+        else:
+            # the touched keys are the UNION over every source's new delta
+            # files; _changefeed_files validates each horizon (raises past
+            # a retention floor/compaction)
+            uniq = ray.get(
+                [
+                    _touched_hashes_task.remote(f, self.key)
+                    for eng, wm in zip(self.sources, wms)
+                    for _pid, f in eng._changefeed_files(wm)
+                ]
+            )
+            touched = np.unique(np.concatenate(uniq)) if uniq else np.array([], np.uint64)
+            # view partition = UNSALTED hash(key) % P (a salted hot key's
+            # view rows live with its home partition)
+            touched_pids = sorted(int(p) for p in np.unique(touched % np.uint64(P)))
+        emit = self.emit_changes and not full
+        if touched_pids and emit:
+            os.makedirs(os.path.join(self.view_dir, _CHANGES_DIR), exist_ok=True)
+        elif touched_pids:
+            # changefeed continuity: a rebuild, or any advance that
+            # recomputes rows WITHOUT emitting them, breaks the delta
+            # chain — the floor moves to this version. An advance that
+            # touched nothing is an (empty) delta either way.
+            delta_floor, deltas = version, {}
+
+        extra = [
+            _salt_fanout_files(man, eng.salt_map, touched, touched_pids, P)
+            for eng, man in zip(self.sources, mans)
+        ]
+        items = [
+            {
+                "pid": pid,
+                # one file stack per source (plus its salted fanout files)
+                "files": [
+                    (list(man.partitions[pid].files) if pid in man.partitions else [])
+                    + ex.get(pid, [])
+                    for man, ex in zip(mans, extra)
+                ],
+                "old_file": files.get(str(pid)),
+                "out": os.path.join(
+                    self.view_dir,
+                    f"part-{pid:05d}-v{version:06d}-{uuid.uuid4().hex[:8]}.parquet",
+                ),
+                "delta_out": os.path.join(
+                    self.view_dir,
+                    _CHANGES_DIR,
+                    f"delta-v{version:06d}-p{pid:05d}-{uuid.uuid4().hex[:8]}.parquet",
+                )
+                if emit
+                else None,
+            }
+            for pid in touched_pids
+        ]
+        ctx = {
+            "sources": [(man.schema, eng.key_cols) for eng, man in zip(self.sources, mans)],
+            "key": self.key,
+            "num_partitions": P,
+            "version": version,
+            "touched": touched,  # None (full) or sorted uint64 array
+            **self._context(),
+        }
+        results = _run_partitions(self._body, ctx, items) if items else []
+
+        rows_written = _splice_results(files, results)
+        new_delta_files = sorted(r["delta_path"] for r in results if r.get("delta_path"))
+        if new_delta_files:
+            deltas[str(version)] = new_delta_files
+        self._commit_state(
+            {
+                "version": version,
+                "watermarks": cur,
+                "files": files,
+                "num_partitions": P,
+                "fingerprint": self._fingerprint(),
+                "delta_floor": delta_floor,
+                "deltas": deltas,
+            }
+        )
+        out = _advance_result(
+            cur, -1 if touched is None else int(len(touched)), len(touched_pids), rows_written
+        )
+        self._metrics_append(
+            {
+                "version": version,
+                "full": full,
+                "delta_files": len(new_delta_files),
+                "seconds": round(time.perf_counter() - t0, 4),
+                **out,
+            }
+        )
+        return out
+
+
+class IncrementalRollup(MaintainedView):
+    """Incrementally-maintained view of a ``CDCEngine`` table — by default
+    the ``conversation_rollup`` aggregate; pass ``kernel=CorpusKernel()``
+    (or use :class:`IncrementalCorpus`) to maintain the assembled SFT
+    corpus instead. The one-source :class:`MaintainedView`: one instance
+    per view directory, keyed and routed by ``conv_id``; the kernel is
+    the partition body's strategy and its class + config are the view's
+    fingerprint."""
+
+    _body = staticmethod(rebuild_partition)
+
+    def __init__(self, engine, view_dir: str, kernel=None, emit_changes: bool = False):
+        self.engine = engine
+        self.kernel = kernel if kernel is not None else RollupKernel()
+        super().__init__([engine], view_dir, self.kernel.schema, "conv_id", ["conv_id"])
+        #: when True, every advance() also writes a row-level VIEW
+        #: CHANGEFEED (see :meth:`changes`) — computed inside the partition
+        #: task where the old and new rows are already in hand, so the
+        #: delta costs one extra small parquet write per touched partition
+        self.emit_changes = bool(emit_changes)
+
+    @property
+    def watermark(self) -> int:
+        return self.watermarks[0]
+
+    def _fingerprint(self) -> str:
+        """Identity of the kernel (class + config) persisted in the view
+        manifest: advancing a view directory with a DIFFERENT kernel —
+        another ``ivm --kind``, or the same kind under another config
+        (e.g. a MinHash view built with num_perm=128 advanced by the
+        CLI's default 64) — would splice incompatible rows next to
+        carried-forward ones. Fail loud instead (rebuild() re-keys)."""
+        extra = getattr(self.kernel, "fingerprint", None)
+        return f"{type(self.kernel).__name__}:{extra() if callable(extra) else ''}"
+
+    def _context(self) -> dict:
+        return {"kernel": self.kernel}  # stateless; shipped once per advance
 
     def _delta_schema(self) -> pa.Schema:
         return pa.schema(
             [pa.field("op", pa.string()), pa.field("version", pa.int64())]
-            + list(self.kernel.schema)
+            + list(self.schema)
         )
 
     def changes(
@@ -499,7 +864,7 @@ class IncrementalRollup:
         if state is None:
             raise RuntimeError("view has never run; nothing to consume")
         cur = int(state["version"])
-        floor = int(state.get("delta_floor", cur))
+        floor = int(state["delta_floor"])
         if since_version > cur:
             raise ValueError(f"since_version {since_version} is ahead of the view ({cur})")
         if since_version < floor:
@@ -511,7 +876,7 @@ class IncrementalRollup:
         hi = cur if up_to is None else min(cur, int(up_to))
         by_version = {
             int(v): ps
-            for v, ps in (state.get("deltas") or {}).items()
+            for v, ps in state["deltas"].items()
             if since_version < int(v) <= hi
         }
         paths = [p for ps in by_version.values() for p in ps]
@@ -546,334 +911,12 @@ class IncrementalRollup:
                 f"before_version {before_version} is ahead of the view "
                 f"({state['version']}); pruning past the head would wedge the feed"
             )
-        deltas = dict(state.get("deltas") or {})
+        deltas = state["deltas"]
         dropped = [p for v, ps in deltas.items() if int(v) <= before_version for p in ps]
         state["deltas"] = {v: ps for v, ps in deltas.items() if int(v) > before_version}
-        state["delta_floor"] = max(
-            int(state.get("delta_floor", state["version"])), int(before_version)
-        )
+        state["delta_floor"] = max(int(state["delta_floor"]), int(before_version))
         self._commit_state(state)  # prunes the dropped files from _changes/
         return len(dropped)
-
-    def read(self) -> "ray.data.Dataset":
-        """The maintained view as a Dataset (one read task per partition
-        file; plain Parquet, so downstream pipelines compose normally)."""
-        state = self._load_state()
-        files = sorted(state["files"].values()) if state else []
-        if not files:
-            return ray.data.from_arrow(self.kernel.schema.empty_table())
-        return ray.data.read_parquet(files)
-
-    def read_arrow(self) -> pa.Table:
-        """Driver-side convenience form for tests/small views."""
-        state = self._load_state()
-        files = sorted(state["files"].values()) if state else []
-        if not files:
-            return self.kernel.schema.empty_table()
-        t = pa.concat_tables([pq.read_table(f) for f in files])
-        return t.sort_by("conv_id")
-
-    def fsck(self) -> dict:
-        """Consistency audit of the view directory — the view analogue of
-        :meth:`CDCEngine.fsck`. Driver-side (view manifests are small):
-        every listed partition file exists with a readable footer and its
-        rows hash-route to its partition; delta files exist; the
-        watermark never exceeds the engine's; the continuity floor never
-        exceeds the version; the recorded kernel matches this instance.
-        Returns ``{"ok", "files_checked", "issues"}``."""
-        state = self._load_state()
-        if state is None:
-            orphans = [f for f in os.listdir(self.view_dir) if f.endswith(".parquet")]
-            issues = (
-                [f"no view manifest but {len(orphans)} data file(s) present"]
-                if orphans
-                else []
-            )
-            return {"ok": not issues, "files_checked": 0, "issues": issues}
-        issues: list[str] = []
-        n = 0
-        P = int(state.get("num_partitions") or self.engine.manifest.num_partitions)
-        if int(P) != int(self.engine.manifest.num_partitions):
-            # the same condition advance() fails loud on (reshard re-homed
-            # every conversation) — an audit must not green-light it
-            issues.append(
-                f"view built at {P} partitions, engine now at "
-                f"{self.engine.manifest.num_partitions} (reshard): rebuild() required"
-            )
-        for pid_s, f in sorted(state["files"].items()):
-            n += 1
-            if not os.path.exists(f):
-                issues.append(f"pid {pid_s}: missing view file {os.path.basename(f)}")
-                continue
-            try:
-                t = pq.read_table(f, columns=["conv_id"])
-            except Exception as e:
-                issues.append(f"pid {pid_s}: unreadable {os.path.basename(f)}: {e}")
-                continue
-            if t.num_rows:
-                h = _conv_hashes(t.column("conv_id"))
-                if ((h % np.uint64(P)).astype(np.int64) != int(pid_s)).any():
-                    issues.append(f"pid {pid_s}: row routed to wrong view partition")
-        for v, paths in (state.get("deltas") or {}).items():
-            for p_ in paths:
-                n += 1
-                if not os.path.exists(p_):
-                    issues.append(f"delta v{v}: missing {os.path.basename(p_)}")
-        wm = int(state["watermark_lsn"])
-        if wm > int(self.engine.manifest.applied_lsn):
-            issues.append(
-                f"view watermark {wm} above engine {self.engine.manifest.applied_lsn}"
-            )
-        floor = int(state.get("delta_floor", state["version"]))
-        if floor > int(state["version"]):
-            issues.append(f"delta floor {floor} above version {state['version']}")
-        fp = state.get("kernel")
-        if fp is not None and fp != self._kernel_fp():
-            issues.append(f"kernel mismatch: built by {fp!r}, audited by {self._kernel_fp()!r}")
-        return {"ok": not issues, "files_checked": n, "issues": issues}
-
-    def rebuild(self) -> dict:
-        """Full recompute (bootstrap path) — also the documented recovery
-        when ``advance()`` raises because the view lagged past the
-        changefeed retention floor."""
-        return self._run(full=True)
-
-    def _kernel_fp(self) -> str:
-        """Identity of the kernel (class + config) persisted in the view
-        manifest: advancing a view directory with a DIFFERENT kernel —
-        another ``ivm --kind``, or the same kind under another config
-        (e.g. a MinHash view built with num_perm=128 advanced by the
-        CLI's default 64) — would splice incompatible rows next to
-        carried-forward ones. Fail loud instead (rebuild() re-keys)."""
-        extra = getattr(self.kernel, "fingerprint", None)
-        return f"{type(self.kernel).__name__}:{extra() if callable(extra) else ''}"
-
-    def advance(self) -> dict:
-        """Bring the view up to the engine's current committed LSN.
-        Raises (fail-loud, from the changefeed horizon validation) when
-        the view's watermark is no longer reconstructible — call
-        :meth:`rebuild`."""
-        state = self._load_state()
-        if state is None:
-            return self._run(full=True)
-        stored_fp = state.get("kernel")
-        if stored_fp is not None and stored_fp != self._kernel_fp():
-            raise RuntimeError(
-                f"view at {self.view_dir!r} was built by kernel {stored_fp!r}; "
-                f"advancing it with {self._kernel_fp()!r} would mix incompatible "
-                "rows — use the original kernel/config or rebuild()"
-            )
-        view_p = state.get("num_partitions")
-        if view_p is not None and int(view_p) != int(self.engine.manifest.num_partitions):
-            # a reshard re-homed every conversation: the view's per-pid
-            # carry-forward files no longer mean what their numbers say —
-            # carrying them forward would resurrect stale rows. Fail loud
-            # with the documented recovery, same contract as lagging past
-            # the changefeed retention floor.
-            raise RuntimeError(
-                f"table was resharded ({view_p} -> "
-                f"{self.engine.manifest.num_partitions} partitions) since this "
-                "view's last advance; call rebuild()"
-            )
-        wm = int(state["watermark_lsn"])
-        if self.engine.manifest.applied_lsn <= wm:
-            return {
-                "watermark_lsn": wm,
-                "touched_convs": 0,
-                "touched_partitions": 0,
-                "rows_written": 0,
-            }
-        return self._run(full=False, state=state, wm=wm)
-
-    # -- core ----------------------------------------------------------
-    def _metrics_append(self, row: dict) -> None:
-        """Append one advance's lineage row to ``_view_metrics.jsonl`` —
-        the view analogue of the lake's per-epoch metrics (advisory:
-        written after the commit, so a crash in between loses at most the
-        row, never the state)."""
-        import time as _time
-
-        row = {"ts": _time.time(), **row}
-        with open(os.path.join(self.view_dir, "_view_metrics.jsonl"), "a") as f:
-            f.write(json.dumps(row) + "\n")
-
-    def metrics(self) -> pa.Table:
-        """Per-advance lineage history: one row per committed run
-        (version, watermark, touched counts, rows, wall seconds, whether
-        it was a rebuild, delta files emitted). Driver-side by contract —
-        the file grows one small line per advance."""
-        path = os.path.join(self.view_dir, "_view_metrics.jsonl")
-        if not os.path.exists(path):
-            return pa.table({})
-        with open(path) as f:
-            rows = [json.loads(ln) for ln in f if ln.strip()]
-        return pa.Table.from_pylist(rows)
-
-    def _run(self, full: bool, state: dict | None = None, wm: int = 0) -> dict:
-        import time as _time
-
-        t0 = _time.perf_counter()
-        eng = self.engine
-        man = eng.manifest
-        num_partitions = int(man.num_partitions)
-        cur_lsn = int(man.applied_lsn)
-        old_files: dict[str, str] = dict(state["files"]) if state and not full else {}
-        # version is MONOTONIC across rebuilds: a rebuild discards files
-        # but must not recycle version numbers, or a delta consumer's
-        # committed cursor would silently alias an unrelated new version
-        prev = state if state is not None else self._load_state()
-        version = int(prev["version"]) + 1 if prev else 1
-        emit = self.emit_changes and not full
-        # changefeed continuity: a rebuild, or any advance that recomputes
-        # rows WITHOUT emitting them, breaks the delta chain — the floor
-        # moves to this version and superseded deltas are pruned. A view
-        # state written before the floor existed is treated as a break.
-        deltas: dict[str, list[str]] = (
-            dict(state.get("deltas") or {}) if state and not full else {}
-        )
-        delta_floor = (
-            int(state["delta_floor"])
-            if state and not full and state.get("delta_floor") is not None
-            else version
-        )
-
-        if full:
-            # a rebuild starts from scratch: carrying forward view files for
-            # partitions whose lake files vanished would resurrect stale rows
-            touched = None  # recompute every conversation
-            pid_set = {pid for pid in man.partitions if man.partitions[pid].files}
-            # a salted conv's HOME partition may itself hold no files while
-            # its rows live in the fanout partitions — its view task must
-            # still run
-            for val in eng.salt_map:
-                h = stable_hash_array(np.array([val], dtype=object))[0]
-                pid_set.add(int(h % np.uint64(num_partitions)))
-            touched_pids = sorted(pid_set)
-        else:
-            # validates the horizon (raises past retention floor/compaction)
-            new_deltas = eng._changefeed_files(wm)
-            if not new_deltas:
-                touched, touched_pids = np.array([], dtype=np.uint64), []
-            else:
-                uniq = ray.get(
-                    [_touched_hashes_task.remote(f) for _pid, f in new_deltas]
-                )
-                touched = np.unique(np.concatenate(uniq))
-                # view partition = UNSALTED hash(conv) % P (a salted hot
-                # conv's group row lives with its home partition)
-                touched_pids = sorted(
-                    int(p) for p in np.unique(touched % np.uint64(num_partitions))
-                )
-        if not touched_pids:
-            # an advance that touched nothing is an (empty) delta under
-            # either flag value — continuity carries forward
-            new_state = {
-                "version": version,
-                "watermark_lsn": cur_lsn,
-                "files": old_files,
-                "num_partitions": num_partitions,
-                "kernel": self._kernel_fp(),
-                "delta_floor": delta_floor,
-                "deltas": deltas,
-            }
-            self._commit_state(new_state)
-            out = {
-                "watermark_lsn": cur_lsn,
-                "touched_convs": 0,
-                "touched_partitions": 0,
-                "rows_written": 0,
-            }
-            self._metrics_append(
-                {
-                    "version": version,
-                    "full": full,
-                    "delta_files": 0,
-                    "seconds": round(_time.perf_counter() - t0, 4),
-                    **out,
-                }
-            )
-            return out
-        if not emit:
-            delta_floor, deltas = version, {}
-
-        extra_files = _salt_fanout_files(
-            man, eng.salt_map, touched, touched_pids, num_partitions
-        )
-
-        view_dir = self.view_dir
-        if emit:
-            os.makedirs(os.path.join(view_dir, _CHANGES_DIR), exist_ok=True)
-        items = []
-        for pid in touched_pids:
-            files = list(man.partitions[pid].files) if pid in man.partitions else []
-            files += extra_files.get(pid, [])
-            items.append(
-                {
-                    "pid": pid,
-                    "files": files,
-                    "old_file": old_files.get(str(pid)),
-                    "out": os.path.join(
-                        view_dir, f"part-{pid:05d}-v{version:06d}-{uuid.uuid4().hex[:8]}.parquet"
-                    ),
-                    "delta_out": os.path.join(
-                        view_dir,
-                        _CHANGES_DIR,
-                        f"delta-v{version:06d}-p{pid:05d}-{uuid.uuid4().hex[:8]}.parquet",
-                    )
-                    if emit
-                    else None,
-                }
-            )
-        ctx = {
-            "lake_schema": man.schema,
-            "key_cols": eng.key_cols,
-            "num_partitions": num_partitions,
-            "kernel": self.kernel,  # stateless; shipped once per advance
-            "version": version,
-            "touched": touched,  # None (full) or sorted uint64 array
-        }
-        results = _run_partitions(rebuild_partition, ctx, items)
-
-        files = dict(old_files)
-        rows_written = 0
-        new_delta_files = []
-        for r in results:
-            rows_written += int(r["rows"])
-            if r["rows"]:
-                files[str(r["pid"])] = r["path"]
-            else:
-                files.pop(str(r["pid"]), None)
-                os.remove(r["path"])
-            if r.get("delta_path"):
-                new_delta_files.append(r["delta_path"])
-        if new_delta_files:
-            deltas[str(version)] = sorted(new_delta_files)
-        new_state = {
-            "version": version,
-            "watermark_lsn": cur_lsn,
-            "files": files,
-            "num_partitions": num_partitions,
-            "kernel": self._kernel_fp(),
-            "delta_floor": delta_floor,
-            "deltas": deltas,
-        }
-        self._commit_state(new_state)
-        out = {
-            "watermark_lsn": cur_lsn,
-            "touched_convs": -1 if touched is None else int(len(touched)),
-            "touched_partitions": len(touched_pids),
-            "rows_written": rows_written,
-        }
-        self._metrics_append(
-            {
-                "version": version,
-                "full": full,
-                "delta_files": len(new_delta_files),
-                "seconds": round(_time.perf_counter() - t0, 4),
-                **out,
-            }
-        )
-        return out
 
 
 class IncrementalCorpus(IncrementalRollup):
@@ -1985,17 +2028,19 @@ def join_partition(ctx: dict, item: dict) -> dict:
     previous view file and write the new file."""
     from .cdc import partition_chunks
 
-    pid, touched, on, P = item["pid"], ctx["touched"], ctx["on"], ctx["num_partitions"]
+    pid, touched, on, P = item["pid"], ctx["touched"], ctx["key"], ctx["num_partitions"]
+    (l_schema, l_keys), (r_schema, r_keys) = ctx["sources"]
+    l_files, r_files = item["files"]
     out_schema, r_cols = ctx["out_schema"], [on] + ctx["right_cols"]
     r_live = pa.concat_tables(
         [
             _live_rows(c, on, P, pid, touched).select(r_cols)
-            for c in partition_chunks(item["r_files"], ctx["r_schema"], ctx["r_keys"])
+            for c in partition_chunks(r_files, r_schema, r_keys)
         ]
         or [out_schema.empty_table().select(r_cols)]
     )
     pieces: list[pa.Table] = []
-    for chunk in partition_chunks(item["l_files"], ctx["l_schema"], ctx["l_keys"]):
+    for chunk in partition_chunks(l_files, l_schema, l_keys):
         sel = _live_rows(chunk, on, P, pid, touched).select(ctx["left_names"])
         if sel.num_rows:
             j = sel.join(
@@ -2012,13 +2057,13 @@ def join_partition(ctx: dict, item: dict) -> dict:
         if old_kept.num_rows:
             pieces.append(old_kept)
     out = (pa.concat_tables(pieces) if pieces else out_schema.empty_table()).sort_by(
-        [(c, "ascending") for c in ctx["l_keys"]]
+        [(c, "ascending") for c in l_keys]
     )
     _write_atomic(out, item["out"])
     return {"pid": pid, "rows": out.num_rows, "path": item["out"]}
 
 
-class IncrementalJoin:
+class IncrementalJoin(MaintainedView):
     """Incrementally-maintained JOIN view across TWO co-partitioned CDC
     tables — the materialized form of ``fact LEFT JOIN dim USING (key)``
     kept continuously fresh from both tables' changefeeds at O(changed
@@ -2028,11 +2073,10 @@ class IncrementalJoin:
     grained fact table enriched with per-conversation dimension columns.
     IVM for joins normally needs delta-join algebra (ΔL ⋈ R  ∪  L ⋈ ΔR)
     plus before-images for updates/deletes; this engine's changefeeds
-    deliberately carry no before-images, so the view uses the same
-    recompute-the-touched-groups strategy as :class:`IncrementalRollup`,
-    generalized to two sources: the touched-key set is the UNION of keys
-    present in either table's new delta files, and each touched key's
-    join rows are recomputed from BOTH lakes' current merge-on-read
+    deliberately carry no before-images, so the view recomputes the
+    touched groups like the rollup: the touched-key set is the UNION of
+    keys present in either table's new delta files, and each touched
+    key's join rows are recomputed from BOTH lakes' current merge-on-read
     state. A key touched only on the dimension side still re-joins its
     fact rows — the union guarantees it.
 
@@ -2052,12 +2096,15 @@ class IncrementalJoin:
     - Salted hot keys on either engine pull their fanout partitions'
       files into the home-partition task (:func:`_salt_fanout_files`).
 
-    Same durable-state contracts as :class:`IncrementalRollup`:
-    versioned manifest swap with graced pruning, fail-loud on reshard
-    (either side) or a config change (``rebuild()`` recovers), fail-loud
-    when a watermark lags past a changefeed retention floor, single
-    writer per view directory.
+    The join and the rollup family share one implementation: this is the
+    two-source :class:`MaintainedView`, so state, commit, graced pruning,
+    reads, audit, metrics and the fail-loud guards (reshard on either
+    side, a config change, a watermark past a retention floor; rebuild()
+    recovers) are the rollup's own code. Single writer per view
+    directory.
     """
+
+    _body = staticmethod(join_partition)
 
     def __init__(
         self,
@@ -2079,8 +2126,6 @@ class IncrementalJoin:
             )
         self.left = left_engine
         self.right = right_engine
-        self.view_dir = view_dir
-        self.on = on
         self.how = how
         left_pub = left_engine._public_schema()
         right_pub = right_engine._public_schema()
@@ -2098,299 +2143,21 @@ class IncrementalJoin:
         if missing:
             raise ValueError(f"right columns {missing} not in the right table")
         self.right_cols = list(right_cols)
-        #: published view schema: left public columns, then the selected
-        #: right columns (null-padded under how='left')
-        self.schema = pa.schema(
-            list(left_pub) + [right_pub.field(c) for c in self.right_cols]
-        )
-        self.prune_grace_s: float = 0.0
-        os.makedirs(view_dir, exist_ok=True)
+        # published view schema: left public columns, then the selected
+        # right columns (null-padded under how='left')
+        schema = pa.schema(list(left_pub) + [right_pub.field(c) for c in self.right_cols])
+        super().__init__([left_engine, right_engine], view_dir, schema, on, left_engine.key_cols)
 
-    # -- durable state (same file conventions as IncrementalRollup) ------
-    def _load_state(self) -> dict | None:
-        path = os.path.join(self.view_dir, _MANIFEST)
-        if not os.path.exists(path):
-            return None
-        with open(path) as f:
-            return json.load(f)
-
-    def _commit_state(self, state: dict) -> None:
-        path = os.path.join(self.view_dir, _MANIFEST)
-        tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(state, f)
-        os.replace(tmp, path)
-        _prune_view_dir(
-            self.view_dir,
-            {os.path.basename(p) for p in state["files"].values()} | {_MANIFEST},
-            self.prune_grace_s,
-        )
-
-    def _config_fp(self) -> str:
+    def _fingerprint(self) -> str:
         return (
-            f"join:on={self.on},how={self.how},right_cols={','.join(self.right_cols)},"
+            f"join:on={self.key},how={self.how},right_cols={','.join(self.right_cols)},"
             f"left={self.left.manifest.table},right={self.right.manifest.table}"
         )
 
-    @property
-    def version(self) -> int:
-        state = self._load_state()
-        return int(state["version"]) if state else 0
-
-    @property
-    def watermarks(self) -> tuple[int, int]:
-        """(left applied LSN, right applied LSN) the view reflects."""
-        state = self._load_state()
-        if state is None:
-            return (0, 0)
-        return (int(state["wm_left"]), int(state["wm_right"]))
-
-    def read(self) -> "ray.data.Dataset":
-        state = self._load_state()
-        files = sorted(state["files"].values()) if state else []
-        if not files:
-            return ray.data.from_arrow(self.schema.empty_table())
-        return ray.data.read_parquet(files)
-
-    def read_arrow(self) -> pa.Table:
-        state = self._load_state()
-        files = sorted(state["files"].values()) if state else []
-        if not files:
-            return self.schema.empty_table()
-        t = pa.concat_tables([pq.read_table(f) for f in files])
-        return t.sort_by([(c, "ascending") for c in self.left.key_cols])
-
-    def fsck(self) -> dict:
-        """Consistency audit: listed files exist with readable footers and
-        rows that hash-route to their partition; partition counts still
-        match both engines; watermarks never exceed the engines'."""
-        state = self._load_state()
-        if state is None:
-            return {"ok": True, "files_checked": 0, "issues": []}
-        issues: list[str] = []
-        n = 0
-        P = int(state["num_partitions"])
-        for eng, side in ((self.left, "left"), (self.right, "right")):
-            if int(eng.manifest.num_partitions) != P:
-                issues.append(
-                    f"view built at {P} partitions, {side} engine now at "
-                    f"{eng.manifest.num_partitions} (reshard): rebuild() required"
-                )
-        for pid_s, f in sorted(state["files"].items()):
-            n += 1
-            if not os.path.exists(f):
-                issues.append(f"pid {pid_s}: missing view file {os.path.basename(f)}")
-                continue
-            try:
-                t = pq.read_table(f, columns=[self.on])
-            except Exception as e:
-                issues.append(f"pid {pid_s}: unreadable {os.path.basename(f)}: {e}")
-                continue
-            if t.num_rows:
-                h = stable_hash_array(t.column(self.on))
-                if ((h % np.uint64(P)).astype(np.int64) != int(pid_s)).any():
-                    issues.append(f"pid {pid_s}: row routed to wrong view partition")
-        if int(state["wm_left"]) > int(self.left.manifest.applied_lsn):
-            issues.append(
-                f"left watermark {state['wm_left']} above engine "
-                f"{self.left.manifest.applied_lsn}"
-            )
-        if int(state["wm_right"]) > int(self.right.manifest.applied_lsn):
-            issues.append(
-                f"right watermark {state['wm_right']} above engine "
-                f"{self.right.manifest.applied_lsn}"
-            )
-        if state.get("config") != self._config_fp():
-            issues.append(
-                f"config mismatch: built as {state.get('config')!r}, "
-                f"audited as {self._config_fp()!r}"
-            )
-        return {"ok": not issues, "files_checked": n, "issues": issues}
-
-    def rebuild(self) -> dict:
-        """Full recompute — bootstrap, and the documented recovery after a
-        reshard, a config change, or lagging past a retention floor."""
-        return self._run(full=True)
-
-    def advance(self) -> dict:
-        """Bring the view up to both engines' committed LSNs."""
-        state = self._load_state()
-        if state is None:
-            return self._run(full=True)
-        if state.get("config") != self._config_fp():
-            raise RuntimeError(
-                f"view at {self.view_dir!r} was built as {state.get('config')!r}; "
-                f"advancing it as {self._config_fp()!r} would mix incompatible "
-                "rows — use the original config or rebuild()"
-            )
-        P = int(state["num_partitions"])
-        for eng, side in ((self.left, "left"), (self.right, "right")):
-            if int(eng.manifest.num_partitions) != P:
-                raise RuntimeError(
-                    f"{side} table was resharded ({P} -> "
-                    f"{eng.manifest.num_partitions} partitions) since this view's "
-                    "last advance; call rebuild()"
-                )
-        wl, wr = int(state["wm_left"]), int(state["wm_right"])
-        if (
-            self.left.manifest.applied_lsn <= wl
-            and self.right.manifest.applied_lsn <= wr
-        ):
-            return {
-                "wm_left": wl,
-                "wm_right": wr,
-                "touched_keys": 0,
-                "touched_partitions": 0,
-                "rows_written": 0,
-            }
-        return self._run(full=False, state=state)
-
-    # -- core -------------------------------------------------------------
-    def _metrics_append(self, row: dict) -> None:
-        import time as _time
-
-        row = {"ts": _time.time(), **row}
-        with open(os.path.join(self.view_dir, "_view_metrics.jsonl"), "a") as f:
-            f.write(json.dumps(row) + "\n")
-
-    def _run(self, full: bool, state: dict | None = None) -> dict:
-        import time as _time
-
-        t0 = _time.perf_counter()
-        lman, rman = self.left.manifest, self.right.manifest
-        P = int(lman.num_partitions)
-        if int(rman.num_partitions) != P:
-            raise RuntimeError(
-                f"tables are not co-partitioned: left has {P} partitions, "
-                f"right {rman.num_partitions} — reshard one side first"
-            )
-        cur_l, cur_r = int(lman.applied_lsn), int(rman.applied_lsn)
-        old_files: dict[str, str] = dict(state["files"]) if state and not full else {}
-        prev = state if state is not None else self._load_state()
-        version = int(prev["version"]) + 1 if prev else 1
-
-        if full:
-            pid_set = {pid for pid in lman.partitions if lman.partitions[pid].files}
-            pid_set |= {pid for pid in rman.partitions if rman.partitions[pid].files}
-            for eng in (self.left, self.right):
-                for val in eng.salt_map:
-                    h = stable_hash_array(np.array([val], dtype=object))[0]
-                    pid_set.add(int(h % np.uint64(P)))
-            touched = None
-            touched_pids = sorted(pid_set)
-        else:
-            wl, wr = int(state["wm_left"]), int(state["wm_right"])
-            # validates both horizons (raises past retention floor/compaction)
-            new_l = self.left._changefeed_files(wl)
-            new_r = self.right._changefeed_files(wr)
-            paths = [f for _pid, f in new_l] + [f for _pid, f in new_r]
-            if not paths:
-                touched, touched_pids = np.array([], dtype=np.uint64), []
-            else:
-                uniq = ray.get(
-                    [_touched_hashes_task.remote(f, self.on) for f in paths]
-                )
-                touched = np.unique(np.concatenate(uniq))
-                touched_pids = sorted(
-                    int(p) for p in np.unique(touched % np.uint64(P))
-                )
-        if not touched_pids:
-            new_state = {
-                "version": version,
-                "wm_left": cur_l,
-                "wm_right": cur_r,
-                "files": old_files,
-                "num_partitions": P,
-                "config": self._config_fp(),
-            }
-            self._commit_state(new_state)
-            out = {
-                "wm_left": cur_l,
-                "wm_right": cur_r,
-                "touched_keys": 0,
-                "touched_partitions": 0,
-                "rows_written": 0,
-            }
-            self._metrics_append(
-                {
-                    "version": version,
-                    "full": full,
-                    "seconds": round(_time.perf_counter() - t0, 4),
-                    **out,
-                }
-            )
-            return out
-
-        extra_l = _salt_fanout_files(lman, self.left.salt_map, touched, touched_pids, P)
-        extra_r = _salt_fanout_files(rman, self.right.salt_map, touched, touched_pids, P)
-
-        view_dir = self.view_dir
-        items = []
-        for pid in touched_pids:
-            items.append(
-                {
-                    "pid": pid,
-                    "l_files": (
-                        list(lman.partitions[pid].files) if pid in lman.partitions else []
-                    )
-                    + extra_l.get(pid, []),
-                    "r_files": (
-                        list(rman.partitions[pid].files) if pid in rman.partitions else []
-                    )
-                    + extra_r.get(pid, []),
-                    "old_file": old_files.get(str(pid)),
-                    "out": os.path.join(
-                        view_dir,
-                        f"part-{pid:05d}-v{version:06d}-{uuid.uuid4().hex[:8]}.parquet",
-                    ),
-                }
-            )
-        ctx = {
-            "l_schema": lman.schema,
-            "r_schema": rman.schema,
-            "l_keys": self.left.key_cols,
-            "r_keys": self.right.key_cols,
-            "left_names": [f.name for f in self.left._public_schema()],
-            "on": self.on,
+    def _context(self) -> dict:
+        return {
+            "left_names": self.left._public_schema().names,
             "how": self.how,
-            "right_cols": list(self.right_cols),
+            "right_cols": self.right_cols,
             "out_schema": self.schema,
-            "num_partitions": P,
-            "touched": touched,
         }
-        results = _run_partitions(join_partition, ctx, items)
-
-        files = dict(old_files)
-        rows_written = 0
-        for r in results:
-            rows_written += int(r["rows"])
-            if r["rows"]:
-                files[str(r["pid"])] = r["path"]
-            else:
-                files.pop(str(r["pid"]), None)
-                os.remove(r["path"])
-        new_state = {
-            "version": version,
-            "wm_left": cur_l,
-            "wm_right": cur_r,
-            "files": files,
-            "num_partitions": P,
-            "config": self._config_fp(),
-        }
-        self._commit_state(new_state)
-        out = {
-            "wm_left": cur_l,
-            "wm_right": cur_r,
-            "touched_keys": -1 if touched is None else int(len(touched)),
-            "touched_partitions": len(touched_pids),
-            "rows_written": rows_written,
-        }
-        self._metrics_append(
-            {
-                "version": version,
-                "full": full,
-                "seconds": round(_time.perf_counter() - t0, 4),
-                **out,
-            }
-        )
-        return out

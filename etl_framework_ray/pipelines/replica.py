@@ -21,7 +21,9 @@ via a stable sort + zero-copy slices, and ONE Ray task per touched
 partition rewrites that partition's file — untouched partitions carry
 forward by reference, exactly like the view's own splice. A seed window
 ("replace everything") runs the same per-partition task fan-out with no
-carry-forward. Commit is an atomic manifest swap; superseded files and
+carry-forward. The directory is the maintained view's own store
+(``incremental._load_dir`` / ``_commit_dir`` / ``_audit_dir`` /
+``_read_dir``): commit is an atomic manifest swap; superseded files and
 crash-orphaned ``.tmp`` residue are pruned after it. ``num_partitions``
 and the schema persist in the manifest — re-creating the replica with a
 different partition count fails loud instead of mis-routing rows.
@@ -29,7 +31,6 @@ different partition count fails loud instead of mis-routing rows.
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 
@@ -40,6 +41,15 @@ import ray
 
 from ..functions.hashing import partition_ids
 from ..state.schema import schema_from_b64, schema_to_b64
+from .incremental import (
+    _audit_dir,
+    _commit_dir,
+    _load_dir,
+    _read_dir,
+    _read_dir_arrow,
+    _splice_results,
+    _write_atomic,
+)
 
 _MANIFEST = "_replica_manifest.json"
 
@@ -65,9 +75,7 @@ def _splice_task(rows, pid: int, old_file: str | None, out: str) -> dict:
         if kept.num_rows:
             pieces.append(kept)
     t = pa.concat_tables(pieces, promote_options="permissive").sort_by("conv_id")
-    tmp = f"{out}.tmp-{os.getpid()}"
-    pq.write_table(t, tmp)
-    os.replace(tmp, out)
+    _write_atomic(t, out)
     return {"pid": pid, "rows": t.num_rows, "path": out}
 
 
@@ -89,36 +97,21 @@ class ReplicaTable:
                 "use the original count (it persists in the manifest)"
             )
 
-    # -- durable state -------------------------------------------------
+    # -- durable state: the view's partition-directory store -------------
     def _load_state(self) -> dict | None:
-        path = os.path.join(self.out_dir, _MANIFEST)
-        if not os.path.exists(path):
-            return None
-        with open(path) as f:
-            return json.load(f)
+        return _load_dir(self.out_dir, _MANIFEST)
 
     def _commit(self, state: dict) -> None:
-        path = os.path.join(self.out_dir, _MANIFEST)
-        tmp = f"{path}.tmp-{os.getpid()}"
-        with open(tmp, "w") as f:
-            json.dump(state, f)
-        os.replace(tmp, path)
-        live = {os.path.basename(p) for p in state["files"].values()} | {_MANIFEST}
-        for name in os.listdir(self.out_dir):
-            if name in live:
-                continue
-            # superseded parquet AND crash-orphaned .tmp residue
-            if name.endswith(".parquet") or ".parquet.tmp-" in name:
-                os.remove(os.path.join(self.out_dir, name))
+        _commit_dir(self.out_dir, _MANIFEST, state, 0.0)
 
     @property
     def version(self) -> int:
         state = self._load_state()
         return int(state["version"]) if state else 0
 
-    def _schema(self) -> pa.Schema | None:
-        state = self._load_state()
-        return schema_from_b64(state["schema_b64"]) if state else None
+    @staticmethod
+    def _schema(state: dict | None) -> pa.Schema:
+        return schema_from_b64(state["schema_b64"]) if state else pa.schema([])
 
     # -- routing -------------------------------------------------------
     def _route(self, table: pa.Table) -> list[tuple[int, pa.Table]]:
@@ -178,7 +171,7 @@ class ReplicaTable:
         files: dict[str, str] = {}
         if table.num_rows:
             results = self._fan_out(self._route(self._as_delta(table, version)), {}, version)
-            files = {str(r["pid"]): r["path"] for r in results if r["rows"]}
+            _splice_results(files, results)
         self._commit(
             {
                 "version": int(version),
@@ -198,22 +191,14 @@ class ReplicaTable:
             raise RuntimeError("replica has no seed; apply a seed window first")
         if version <= int(state["version"]):
             return {"applied": False, "version": int(state["version"])}
-        old_files = dict(state["files"])
+        files = dict(state["files"])
         new_state = dict(state, version=int(version))
         if delta.num_rows == 0:
             self._commit(new_state)
             return {"applied": True, "version": int(version), "rows": 0}
 
-        results = self._fan_out(self._route(delta), old_files, version)
-        files = dict(old_files)
-        touched_rows = 0
-        for r in results:
-            touched_rows += int(r["rows"])
-            if r["rows"]:
-                files[str(r["pid"])] = r["path"]
-            else:
-                files.pop(str(r["pid"]), None)
-                os.remove(r["path"])
+        results = self._fan_out(self._route(delta), files, version)
+        touched_rows = _splice_results(files, results)
         # the payload schema can evolve with the window (view kernels are
         # stable, but keep the recorded schema current when rows exist)
         if touched_rows:
@@ -234,49 +219,16 @@ class ReplicaTable:
         :meth:`CDCEngine.fsck` / the view's): listed files exist with
         readable footers and their rows hash-route to their partition.
         Driver-side; replica manifests are small."""
-        state = self._load_state()
-        if state is None:
-            orphans = [f for f in os.listdir(self.out_dir) if f.endswith(".parquet")]
-            issues = (
-                [f"no replica manifest but {len(orphans)} data file(s) present"]
-                if orphans
-                else []
-            )
-            return {"ok": not issues, "files_checked": 0, "issues": issues}
-        issues: list[str] = []
-        n = 0
-        P = int(state["num_partitions"])
-        for pid_s, f in sorted(state["files"].items()):
-            n += 1
-            if not os.path.exists(f):
-                issues.append(f"pid {pid_s}: missing file {os.path.basename(f)}")
-                continue
-            try:
-                t = pq.read_table(f, columns=["conv_id"])
-            except Exception as e:
-                issues.append(f"pid {pid_s}: unreadable {os.path.basename(f)}: {e}")
-                continue
-            if t.num_rows:
-                pids = partition_ids(t.column("conv_id"), P)
-                if (pids != int(pid_s)).any():
-                    issues.append(f"pid {pid_s}: row routed to wrong partition")
+        n, issues = _audit_dir(self.out_dir, self._load_state(), "conv_id", "")
         return {"ok": not issues, "files_checked": n, "issues": issues}
 
     def read(self) -> "ray.data.Dataset":
         state = self._load_state()
-        files = sorted(state["files"].values()) if state else []
-        if not files:
-            sch = self._schema()
-            return ray.data.from_arrow((sch or pa.schema([])).empty_table())
-        return ray.data.read_parquet(files)
+        return _read_dir(state, self._schema(state))
 
     def read_arrow(self) -> pa.Table:
         state = self._load_state()
-        files = sorted(state["files"].values()) if state else []
-        if not files:
-            sch = self._schema()
-            return (sch or pa.schema([])).empty_table()
-        return pa.concat_tables([pq.read_table(f) for f in files]).sort_by("conv_id")
+        return _read_dir_arrow(state, self._schema(state), ["conv_id"])
 
     def follow(self, consumer) -> dict:
         """Drain a :class:`~.consumer.ViewDeltaConsumer`'s sink into the
@@ -296,8 +248,8 @@ class ReplicaTable:
                 continue
             t = consumer.read_window(name)
             if is_seed:
-                sch = getattr(getattr(consumer, "view", None), "kernel", None)
-                r = self.seed(t, hi, schema=getattr(sch, "schema", None))
+                view = getattr(consumer, "view", None)
+                r = self.seed(t, hi, schema=getattr(view, "schema", None))
             else:
                 r = self.apply(t, hi)
             applied += 1 if r["applied"] else 0

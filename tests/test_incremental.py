@@ -14,13 +14,15 @@ import pyarrow.compute as pc
 import pytest
 
 from etl_framework_ray.pipelines.cdc import CDCEngine
-from etl_framework_ray.pipelines.incremental import IncrementalRollup
+from etl_framework_ray.pipelines.incremental import IncrementalJoin, IncrementalRollup
 from etl_framework_ray.sources.changelog import ChangeLog
 from etl_framework_ray.sources.generator import (
     CHANGELOG_SCHEMA,
     GenConfig,
     generate_changelog,
+    generate_profile_changelog,
 )
+from etl_framework_ray.state.schema import CONV_PROFILE
 
 
 def _expected(eng) -> pd.DataFrame:
@@ -83,6 +85,26 @@ def _setup(tmp_path, **gen_kw):
     clog.write_segments(log, segment_rows=1000)
     eng = CDCEngine(str(tmp_path / "tbl"), num_partitions=8, compact_every=100)
     return clog, eng
+
+
+def _view_setup(tmp_path, kind: str, emit_changes: bool = False, **gen_kw):
+    """``(clog, eng, make)`` over :func:`_setup`'s table, where
+    ``make(view_dir)`` builds a view of ``kind``: the rollup, or the join
+    of the table with a fully replayed conv_profile table over the same
+    conversations — the one- and two-source cases of the one view
+    driver."""
+    n_convs = gen_kw.get("num_conversations", 80)
+    clog, eng = _setup(tmp_path, **gen_kw)
+    if kind == "rollup":
+        return clog, eng, lambda d: IncrementalRollup(eng, d, emit_changes=emit_changes)
+    plog = generate_profile_changelog(
+        GenConfig(num_events=4 * n_convs, num_conversations=n_convs, seed=5)
+    )
+    pclog = ChangeLog(str(tmp_path / "plog"))
+    pclog.write_segments(plog, segment_rows=plog.num_rows)
+    right = CDCEngine(str(tmp_path / "profile"), spec=CONV_PROFILE, num_partitions=8)
+    right.replay(pclog)
+    return clog, eng, lambda d: IncrementalJoin(eng, right, d)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -392,13 +414,16 @@ def test_rollup_kernel_matches_pandas_semantics():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_advance_crash_orphans_are_pruned_next_commit(tmp_path):
+@pytest.mark.parametrize("kind", ["rollup", "join"])
+def test_advance_crash_orphans_are_pruned_next_commit(tmp_path, kind):
     """A part file left behind by a crash mid-advance (written but never
     referenced by a committed view manifest) is deleted by the next
     successful commit's prune — readers only ever see referenced files."""
-    clog, eng = _setup(tmp_path, num_events=2000, num_conversations=20, seed=13)
+    clog, eng, make = _view_setup(
+        tmp_path, kind, num_events=2000, num_conversations=20, seed=13
+    )
     eng.replay(clog, segments_per_epoch=2)
-    view = IncrementalRollup(eng, str(tmp_path / "view"))
+    view = make(str(tmp_path / "view"))
     view.advance()
 
     orphan = os.path.join(view.view_dir, "part-00099-v000099-deadbeef.parquet")
@@ -413,7 +438,11 @@ def test_advance_crash_orphans_are_pruned_next_commit(tmp_path):
     eng.replay(clog, segments_per_epoch=1)
     view.advance()
     assert not os.path.exists(orphan)
-    _assert_view_equals(view, eng)
+    rebuilt = make(str(tmp_path / "rebuilt"))
+    rebuilt.rebuild()
+    assert view.read_arrow().equals(rebuilt.read_arrow())
+    if kind == "rollup":
+        _assert_view_equals(view, eng)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -943,18 +972,17 @@ def test_view_changefeed_composes_downstream(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_view_prune_grace_protects_lazy_readers(tmp_path):
+@pytest.mark.parametrize("kind", ["rollup", "join"])
+def test_view_prune_grace_protects_lazy_readers(tmp_path, kind):
     """With prune_grace_s set, a superseded view file outlives the commit
     that replaced it (lazy read() datasets built before the advance still
     resolve); once past the grace a later commit removes it."""
     import time
 
-    from etl_framework_ray.pipelines.incremental import IncrementalRollup
-
-    clog, eng = _setup(tmp_path, num_events=3000, num_conversations=20)
+    clog, eng, make = _view_setup(tmp_path, kind, num_events=3000, num_conversations=20)
     epochs = clog.epochs(1)
     eng.apply_epoch(epochs[0])
-    view = IncrementalRollup(eng, str(tmp_path / "view"))
+    view = make(str(tmp_path / "view"))
     view.prune_grace_s = 3600.0
     view.advance()
     old_files = sorted(view._load_state()["files"].values())
@@ -978,16 +1006,18 @@ def test_view_prune_grace_protects_lazy_readers(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_view_metrics_record_every_advance(tmp_path):
-    """Each committed run appends one lineage row (version, watermark,
+@pytest.mark.parametrize("kind", ["rollup", "join"])
+def test_view_metrics_record_every_advance(tmp_path, kind):
+    """Each committed run appends one lineage row (version, watermarks,
     touched counts, rows, wall seconds, rebuild flag, delta files) —
-    the view analogue of the lake's per-epoch metrics."""
-    from etl_framework_ray.pipelines.incremental import IncrementalRollup
-
-    clog, eng = _setup(tmp_path, num_events=2000, num_conversations=20)
+    the view analogue of the lake's per-epoch metrics. Only the rollup
+    family emits a changefeed (delta files)."""
+    clog, eng, make = _view_setup(
+        tmp_path, kind, emit_changes=True, num_events=2000, num_conversations=20
+    )
     epochs = clog.epochs(1)
     eng.apply_epoch(epochs[0])
-    view = IncrementalRollup(eng, str(tmp_path / "view"), emit_changes=True)
+    view = make(str(tmp_path / "view"))
     view.advance()  # bootstrap (full)
     eng.apply_epoch(epochs[1])
     view.advance()  # incremental, emits deltas
@@ -997,9 +1027,11 @@ def test_view_metrics_record_every_advance(tmp_path):
     m = view.metrics().to_pandas().sort_values("version").reset_index(drop=True)
     assert list(m["version"]) == [1, 2, 3]
     assert list(m["full"]) == [True, False, True]
-    assert m["delta_files"].iloc[1] > 0 and m["delta_files"].iloc[2] == 0
+    assert (m["delta_files"].iloc[1] > 0) == (kind == "rollup")
+    assert m["delta_files"].iloc[2] == 0
     assert (m["seconds"] > 0).all()
     assert m["watermark_lsn"].iloc[1] == eng.manifest.applied_lsn
+    assert list(m["watermarks"].iloc[1]) == [s.manifest.applied_lsn for s in view.sources]
     assert m["touched_convs"].iloc[1] > 0
 
 

@@ -103,7 +103,7 @@ def test_join_view_inner_mode_and_dimension_only_touch(tmp_path):
     # still re-join those conversations' fact rows
     R.replay(pclog, segments_per_epoch=2)
     stats = view.advance()
-    assert stats["touched_keys"] > 0
+    assert stats["touched_convs"] > 0
     assert _view_rows(view) == _oracle_join(tlog, plog, how="inner")
 
 
@@ -136,7 +136,7 @@ def test_join_view_untouched_partitions_carry_forward(tmp_path):
     pclog.write_segments(seg, segment_rows=10)
     R.replay(pclog, segments_per_epoch=1)
     stats = view.advance()
-    assert stats["touched_keys"] == 1 and stats["touched_partitions"] == 1
+    assert stats["touched_convs"] == 1 and stats["touched_partitions"] == 1
     after = dict(view._load_state()["files"])
     changed = {p for p in after if after[p] != before.get(p)}
     assert len(changed) == 1
@@ -250,3 +250,8 @@ def test_join_view_guards_fail_loud(tmp_path):
     view.rebuild()
     assert _view_rows(view) == _oracle_join(tlog, plog)
     assert view.fsck()["ok"]
+
+    # a deleted view manifest with data files on disk is a finding
+    os.remove(os.path.join(view.view_dir, "_view_manifest.json"))
+    r = view.fsck()
+    assert not r["ok"] and any("no view manifest" in i for i in r["issues"])
