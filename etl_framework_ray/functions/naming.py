@@ -3,9 +3,8 @@
 The reference's SQL-string builders are unnecessary here (manifest edits
 replace DDL), but their *identifier-safety* ideas carry over
 (SURVEY.md §2.1 S8): strict identifier validation (analogue of backtick
-quoting, /root/reference/src/delta_engine/utils.py:10-32), three-part-name
-handling (utils.py:35-44), sorted deterministic property formatting
-(utils.py:58-72), and BLAKE2b-truncated constraint names
+quoting, the reference's ``delta_engine/utils.py:10-32``) and
+BLAKE2b-truncated constraint names
 (/root/reference/src/delta_engine/constraints/naming.py:32-61).
 """
 
@@ -30,16 +29,6 @@ def validate_identifier(name: str) -> str:
     return name
 
 
-def split_table_name(full: str) -> tuple[str, ...]:
-    """``catalog.schema.table`` → parts, each validated (utils.py:35-44)."""
-    parts = tuple(full.split("."))
-    if len(parts) not in (1, 2, 3):
-        raise ValueError(f"expected 1-3 dotted parts, got {full!r}")
-    for p in parts:
-        validate_identifier(p)
-    return parts
-
-
 def constraint_name(prefix: str, table: str, columns: tuple[str, ...], max_len: int = 63) -> str:
     """Deterministic, length-bounded constraint name: readable prefix +
     BLAKE2b-8 digest of the full identity (naming.py:32-61 semantics —
@@ -51,8 +40,3 @@ def constraint_name(prefix: str, table: str, columns: tuple[str, ...], max_len: 
         base = base[: max_len - 17]
     return f"{base}_{digest}"
 
-
-def format_properties(props: dict) -> str:
-    """Deterministic (sorted-key) rendering of table properties
-    (utils.py:58-72)."""
-    return ", ".join(f"{k}={props[k]!r}" for k in sorted(props))

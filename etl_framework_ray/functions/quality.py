@@ -254,17 +254,6 @@ def apply_checks_and_split(
     return good, quarantine
 
 
-def evaluate_batch(batch: pa.Table, checks: list[CheckSpec]) -> dict[str, int]:
-    """Vectorized failure counts per rule for one batch."""
-    out = {}
-    for chk in checks:
-        mask = chk.fail_mask(batch)
-        n = pc.sum(mask).as_py() or 0
-        if n:
-            out[chk.name] = n
-    return out
-
-
 def _write_failure_file(failure_dir: str, run_id: str, detail: pa.Table) -> None:
     os.makedirs(failure_dir, exist_ok=True)
     path = os.path.join(failure_dir, f"failures-{run_id}-{uuid.uuid4().hex[:8]}.parquet")

@@ -42,6 +42,7 @@ amortizes the full rewrite across ``compact_every`` epochs.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import time
@@ -56,7 +57,14 @@ from ..context import DEFAULT_NUM_PARTITIONS, RunContext
 from ..functions.hashing import salted_partition_ids, stable_hash_array
 from ..sources.changelog import ChangeLog, Epoch
 from ..stages.lww import lww_reduce, lww_survivor_indices
-from ..state.manifest import CommitConflict, Manifest, ManifestStore, PartitionState
+from ..state.manifest import (
+    CommitConflict,
+    Manifest,
+    ManifestStore,
+    PartitionState,
+    commit_version,
+    create_table,
+)
 from ..state.planner import plan_evolution
 from ..state import zonemap as zone
 from ..state.schema import (
@@ -64,10 +72,8 @@ from ..state.schema import (
     LSN_COL,
     TRANSCRIPTS,
     TableSpec,
-    lake_schema,
     merge_schemas,
     normalize_table,
-    schema_to_b64,
 )
 from . import metrics as metrics_mod
 
@@ -1127,6 +1133,18 @@ def _require_data_files(man: Manifest, what: str) -> None:
         )
 
 
+def _reset_changefeed(man: Manifest) -> None:
+    """Start changefeed coverage afresh at ``man``'s watermark (restore,
+    clone): the retained-deltas registry and its activation stamp belong
+    to another timeline or table, so consumers behind the watermark get
+    the loud re-seed error, never a silent gap."""
+    man.properties.pop("retained_deltas", None)
+    man.properties.pop("retention_since_lsn", None)
+    man.properties["changefeed_floor"] = max(
+        int(man.properties.get("changefeed_floor", 0)), man.applied_lsn
+    )
+
+
 class CDCEngine:
     """Replays a changelog into a committed Parquet lake table.
 
@@ -1201,15 +1219,7 @@ class CDCEngine:
             props = dict(spec.properties)
             if changefeed_retention_lsn not in (INHERIT, None):
                 props["changefeed_retention_lsn"] = int(changefeed_retention_lsn)
-            man = Manifest(
-                table=spec.name,
-                version=1,
-                num_partitions=num_partitions,
-                schema_b64=schema_to_b64(lake_schema(spec)),
-                primary_key=list(spec.primary_key),
-                properties=props,
-            )
-            self.store.commit(man)
+            man = create_table(self.store, spec, num_partitions, props)
         self.manifest = man
         # changefeed retention horizon: when set, delta files folded by a
         # compaction (or salt migration) are RETAINED in the manifest for
@@ -1228,16 +1238,53 @@ class CDCEngine:
         else:
             self.changefeed_retention_lsn = changefeed_retention_lsn
             if stored != changefeed_retention_lsn:
-                new_man = Manifest.from_json(man.to_json())
-                new_man.version = man.version + 1
-                if changefeed_retention_lsn is None:
-                    new_man.properties.pop("changefeed_retention_lsn", None)
-                else:
-                    new_man.properties["changefeed_retention_lsn"] = int(
-                        changefeed_retention_lsn
-                    )
-                self.store.commit(new_man)
-                self.manifest = new_man
+
+                def set_retention(new_man: Manifest) -> None:
+                    if changefeed_retention_lsn is None:
+                        new_man.properties.pop("changefeed_retention_lsn", None)
+                    else:
+                        new_man.properties["changefeed_retention_lsn"] = int(
+                            changefeed_retention_lsn
+                        )
+
+                self._commit(
+                    "set_retention",
+                    set_retention,
+                    changefeed_retention_lsn=changefeed_retention_lsn,
+                )
+
+    def _commit(
+        self,
+        op: str,
+        change=None,
+        *,
+        folded: bool | None = None,
+        base: Manifest | None = None,
+        **row,
+    ) -> Manifest:
+        """Commit the version after ``base`` (default: this engine's
+        manifest) through :func:`commit_version`, with the run context on
+        its history row, and make it this engine's manifest. ``folded`` is
+        set by the commits that replace partition stacks (True when one
+        folded deltas into a new base): the one place the changefeed
+        retention registry is pruned and its coverage re-checked."""
+
+        def edit(new_man: Manifest) -> None:
+            if change is not None:
+                change(new_man)
+            if folded is not None:
+                self._prune_retained(new_man)
+                self._invalidate_retention_coverage(new_man, folded=folded)
+
+        self.manifest = commit_version(
+            self.store,
+            self.manifest if base is None else base,
+            op,
+            edit,
+            **row,
+            **self.run_context.as_dict(),
+        )
+        return self.manifest
 
     # ------------------------------------------------------------------
     @property
@@ -1257,7 +1304,8 @@ class CDCEngine:
         them. Base files need no retention — the feed never reads them."""
         if self.changefeed_retention_lsn is None:
             return
-        entries = new_man.properties.setdefault("retained_deltas", [])
+        entries = list(new_man.properties.get("retained_deltas", []))
+        new_man.properties["retained_deltas"] = entries  # never the base's list
         for f in old_files:
             m = _CDC_FILE_RE.match(os.path.basename(f))
             if m and m.group(1) == "delta":
@@ -1496,60 +1544,52 @@ class CDCEngine:
         ]
         metrics_mod.write_epoch_metrics(self.table_dir, epoch.epoch_id, metrics_rows)
 
-        new_man = Manifest.from_json(man.to_json())  # deep copy
-        new_man.version = man.version + 1
-        new_man.applied_lsn = epoch.epoch_id
-        if schema_changes:
-            new_man.set_schema(new_lake)
-            new_man.schema_version += 1
-        for m in metas:
-            pid = int(m["pid"])
-            prev = new_man.partitions.get(pid)
-            zstats = m["zone_stats"]
-            if m["mode"] == "base" or prev is None:
-                if prev is not None:
-                    self._retire_deltas(new_man, prev.files)
-                if m.get("retained_path"):
-                    new_man.properties.setdefault("retained_deltas", []).append(
-                        {
-                            "path": m["retained_path"],
-                            "epoch_id": epoch.epoch_id,
-                            "retired_lsn": epoch.epoch_id,
-                        }
-                    )
-                files = [m["path"]]  # compaction replaces the whole stack
-                fstats = {m["path"]: zstats} if zstats else {}
-            else:
-                files = [*prev.files, m["path"]]  # delta appends (oldest first)
-                fstats = prev.pruned_stats()
-                if zstats:
-                    fstats[m["path"]] = zstats
-            new_man.partitions[pid] = PartitionState(
-                files=files,
-                applied_lsn=epoch.epoch_id,
-                rows=int(m["rows_live"]),
-                file_stats=fstats,
-            )
-        new_man.history.append(
-            {
-                "epoch_id": epoch.epoch_id,
-                "version": new_man.version,
-                "events": events_raw,
-                "partitions_touched": len(metas),
-                "schema_changes": schema_changes,
-                "duration_s": round(dur, 4),
-                "patches_discarded": sum(
-                    int(m.get("patches_discarded") or 0) for m in metas
-                ),
-                **rc,
-            }
-        )
-        self._prune_retained(new_man)
-        self._invalidate_retention_coverage(
-            new_man, folded=any(m["mode"] == "base" for m in metas)
-        )
+        def place(new_man: Manifest) -> None:
+            new_man.applied_lsn = epoch.epoch_id
+            if schema_changes:
+                new_man.set_schema(new_lake)
+                new_man.schema_version += 1
+            for m in metas:
+                pid = int(m["pid"])
+                prev = new_man.partitions.get(pid)
+                zstats = m["zone_stats"]
+                if m["mode"] == "base" or prev is None:
+                    if prev is not None:
+                        self._retire_deltas(new_man, prev.files)
+                    if m.get("retained_path"):
+                        new_man.properties["retained_deltas"] = [
+                            *new_man.properties.get("retained_deltas", []),
+                            {
+                                "path": m["retained_path"],
+                                "epoch_id": epoch.epoch_id,
+                                "retired_lsn": epoch.epoch_id,
+                            },
+                        ]
+                    files = [m["path"]]  # compaction replaces the whole stack
+                    fstats = {m["path"]: zstats} if zstats else {}
+                else:
+                    files = [*prev.files, m["path"]]  # delta appends (oldest first)
+                    fstats = prev.pruned_stats()
+                    if zstats:
+                        fstats[m["path"]] = zstats
+                new_man.partitions[pid] = PartitionState(
+                    files=files,
+                    applied_lsn=epoch.epoch_id,
+                    rows=int(m["rows_live"]),
+                    file_stats=fstats,
+                )
+
         try:
-            self.store.commit(new_man)
+            new_man = self._commit(
+                "apply",
+                place,
+                folded=any(m["mode"] == "base" for m in metas),
+                events=events_raw,
+                partitions_touched=len(metas),
+                schema_changes=schema_changes,
+                duration_s=round(dur, 4),
+                patches_discarded=sum(int(m.get("patches_discarded") or 0) for m in metas),
+            )
         except CommitConflict:
             # another applier committed concurrently. If ITS commit covers
             # this epoch, this was duplicate delivery by a racing tailer —
@@ -1563,7 +1603,6 @@ class CDCEngine:
                 self.manifest = latest
                 return None
             raise
-        self.manifest = new_man
         return new_man.history[-1]
 
     def replay(
@@ -1982,29 +2021,24 @@ class CDCEngine:
             }
 
         metas = ray.get([fold.remote(pid, man.partitions[pid].files) for pid in targets])
-        new_man = Manifest.from_json(man.to_json())
-        new_man.version = new_version
-        for m in metas:
-            self._retire_deltas(new_man, new_man.partitions[m["pid"]].files)
-            new_man.partitions[m["pid"]] = PartitionState(
-                files=[p for p, _, _ in m["files"]],
-                applied_lsn=epoch_id,
-                rows=sum(live for _, live, _ in m["files"]),
-                file_stats={p: z for p, _, z in m["files"] if z},
-            )
-        self._prune_retained(new_man)
-        self._invalidate_retention_coverage(new_man, folded=bool(metas))
-        new_man.history.append(
-            {
-                "op": "compact",
-                "version": new_man.version,
-                "partitions": len(metas),
-                **({"sort_by": list(sort_by), "cluster": cluster} if sort_by else {}),
-                **self.run_context.as_dict(),
-            }
+
+        def place(new_man: Manifest) -> None:
+            for m in metas:
+                self._retire_deltas(new_man, new_man.partitions[m["pid"]].files)
+                new_man.partitions[m["pid"]] = PartitionState(
+                    files=[p for p, _, _ in m["files"]],
+                    applied_lsn=epoch_id,
+                    rows=sum(live for _, live, _ in m["files"]),
+                    file_stats={p: z for p, _, z in m["files"] if z},
+                )
+
+        self._commit(
+            "compact",
+            place,
+            folded=True,
+            partitions=len(metas),
+            **({"sort_by": list(sort_by), "cluster": cluster} if sort_by else {}),
         )
-        self.store.commit(new_man)
-        self.manifest = new_man
         return len(metas)
 
     def _migrate(
@@ -2117,24 +2151,20 @@ class CDCEngine:
         if not new_keys:
             return {}
 
-        new_man = Manifest.from_json(man.to_json())
-        new_man.version = man.version + 1
-        new_man.properties = {**new_man.properties, "salt_map": {**known, **new_keys}}
-        self._migrate(man, new_man, affected, {**known, **new_keys}, num_partitions)
-        new_man.history.append(
-            {
-                "op": "salt",
-                "version": new_man.version,
-                "keys": sorted(new_keys),
-                "fanout": fanout,
-                "partitions_migrated": len(affected),
-                **self.run_context.as_dict(),
-            }
+        salt_map = {**known, **new_keys}
+
+        def salt(new_man: Manifest) -> None:
+            new_man.properties["salt_map"] = salt_map
+            self._migrate(man, new_man, affected, salt_map, num_partitions)
+
+        self._commit(
+            "salt",
+            salt,
+            folded=True,
+            keys=sorted(new_keys),
+            fanout=fanout,
+            partitions_migrated=len(affected),
         )
-        self._prune_retained(new_man)
-        self._invalidate_retention_coverage(new_man, folded=True)
-        self.store.commit(new_man)
-        self.manifest = new_man
         return new_keys
 
     def reshard(self, new_num_partitions: int) -> dict:
@@ -2173,26 +2203,23 @@ class CDCEngine:
                 f"new_num_partitions >= {max(int(v) for v in salt_map.values())}"
             )
         affected = [pid for pid in sorted(man.partitions) if man.partitions[pid].files]
-        new_man = Manifest.from_json(man.to_json())
-        new_man.version = man.version + 1
-        new_man.num_partitions = new_p
-        # the partition map is rebuilt from scratch at the new modulus
-        new_man.partitions = {}
-        rows_moved = self._migrate(man, new_man, affected, salt_map, new_p)
-        new_man.history.append(
-            {
-                "op": "reshard",
-                "version": new_man.version,
-                "from_partitions": old_p,
-                "to_partitions": new_p,
-                "partitions_migrated": len(affected),
-                **self.run_context.as_dict(),
-            }
+        rows_moved = 0
+
+        def rehome(new_man: Manifest) -> None:
+            nonlocal rows_moved
+            new_man.num_partitions = new_p
+            # the partition map is rebuilt from scratch at the new modulus
+            new_man.partitions = {}
+            rows_moved = self._migrate(man, new_man, affected, salt_map, new_p)
+
+        self._commit(
+            "reshard",
+            rehome,
+            folded=bool(affected),
+            from_partitions=old_p,
+            to_partitions=new_p,
+            partitions_migrated=len(affected),
         )
-        self._prune_retained(new_man)
-        self._invalidate_retention_coverage(new_man, folded=bool(affected))
-        self.store.commit(new_man)
-        self.manifest = new_man
         return {
             "num_partitions": new_p,
             "partitions_migrated": len(affected),
@@ -2298,66 +2325,62 @@ class CDCEngine:
             }
         live_repl = {r["old"]: r for r in results if r["kind"] == "live"}
         ret_repl = {r["old"]: r for r in results if r["kind"] == "retained"}
-        new_man = Manifest.from_json(man.to_json())
-        new_man.version = new_version
         pids_touched = set()
-        rows_removed = 0
-        for pid, ps in new_man.partitions.items():
-            if not any(f in live_repl for f in ps.files):
-                continue
-            pids_touched.add(pid)
-            new_files: list[str] = []
-            for f in ps.files:
-                r = live_repl.get(f)
-                if r is None:
-                    new_files.append(f)
+        rows_removed = sum(r["live_removed"] for r in live_repl.values())
+        files_rewritten = sum(1 for r in results if r["new"] is not None)
+
+        def rewrite(new_man: Manifest) -> None:
+            for pid, ps in new_man.partitions.items():
+                if not any(f in live_repl for f in ps.files):
                     continue
-                ps.file_stats.pop(f, None)
-                ps.rows -= r["live_removed"]
-                rows_removed += r["live_removed"]
-                if r["new"] is not None:
-                    new_files.append(r["new"])
-                    if r["zstats"]:
-                        ps.file_stats[r["new"]] = r["zstats"]
-            ps.files = new_files
-        if ret_repl:
-            kept_entries = []
-            for e in new_man.properties.get("retained_deltas", []):
-                r = ret_repl.get(e["path"])
-                if r is None:
-                    kept_entries.append(e)
-                elif r["new"] is not None:
-                    kept_entries.append({**e, "path": r["new"]})
-                # fully-purged retained delta: nothing left to serve
-            new_man.properties["retained_deltas"] = kept_entries
-        sm = dict(new_man.properties.get("salt_map", {}) or {})
-        before = len(sm)
-        for v in vals:
-            sm.pop(v, None)
-            sm.pop(str(v), None)
-        if len(sm) != before:
-            if sm:
-                new_man.properties["salt_map"] = sm
-            else:
-                new_man.properties.pop("salt_map", None)
-        new_man.history.append(
-            {
-                "op": "purge",
-                "version": new_man.version,
-                "keys": len(vals),  # counts only — never the values
-                "rows_removed": rows_removed,
-                "files_rewritten": sum(1 for r in results if r["new"] is not None),
-                "files_dropped": sum(1 for r in results if r["new"] is None),
-                **self.run_context.as_dict(),
-            }
+                pids_touched.add(pid)
+                new_files: list[str] = []
+                for f in ps.files:
+                    r = live_repl.get(f)
+                    if r is None:
+                        new_files.append(f)
+                        continue
+                    ps.file_stats.pop(f, None)
+                    ps.rows -= r["live_removed"]
+                    if r["new"] is not None:
+                        new_files.append(r["new"])
+                        if r["zstats"]:
+                            ps.file_stats[r["new"]] = r["zstats"]
+                ps.files = new_files
+            if ret_repl:
+                kept_entries = []
+                for e in new_man.properties.get("retained_deltas", []):
+                    r = ret_repl.get(e["path"])
+                    if r is None:
+                        kept_entries.append(e)
+                    elif r["new"] is not None:
+                        kept_entries.append({**e, "path": r["new"]})
+                    # fully-purged retained delta: nothing left to serve
+                new_man.properties["retained_deltas"] = kept_entries
+            sm = dict(new_man.properties.get("salt_map", {}) or {})
+            before = len(sm)
+            for v in vals:
+                sm.pop(v, None)
+                sm.pop(str(v), None)
+            if len(sm) != before:
+                if sm:
+                    new_man.properties["salt_map"] = sm
+                else:
+                    new_man.properties.pop("salt_map", None)
+
+        new_man = self._commit(
+            "purge",
+            rewrite,
+            keys=len(vals),  # counts only — never the values
+            rows_removed=rows_removed,
+            files_rewritten=files_rewritten,
+            files_dropped=len(results) - files_rewritten,
         )
-        self.store.commit(new_man)
-        self.manifest = new_man
         return {
             "version": new_man.version,
             "rows_removed": rows_removed,
-            "files_rewritten": sum(1 for r in results if r["new"] is not None),
-            "files_dropped": sum(1 for r in results if r["new"] is None),
+            "files_rewritten": files_rewritten,
+            "files_dropped": len(results) - files_rewritten,
             "retained_rewritten": len(ret_repl),
             "partitions_touched": len(pids_touched),
             "vacuumed": self.store.vacuum(new_man, grace_s=vacuum_grace_s),
@@ -2448,35 +2471,28 @@ class CDCEngine:
         if old is None:
             raise ValueError(f"version {version} not found for {man.table!r}")
         _require_data_files(old, f"restore to version {version}")
-        new_man = Manifest.from_json(old.to_json())
-        new_man.version = man.version + 1
-        # lineage continues from the CURRENT head — a restore is an event
-        # in this table's history, not a history rewrite
-        new_man.history = list(man.history)
-        new_man.history.append(
-            {
-                "op": "restore",
-                "version": new_man.version,
-                "restored_version": version,
-                "from_lsn": man.applied_lsn,
-                "to_lsn": old.applied_lsn,
-                **self.run_context.as_dict(),
-            }
-        )
-        new_man.properties.pop("retained_deltas", None)
-        new_man.properties.pop("retention_since_lsn", None)
-        new_man.properties["changefeed_floor"] = max(
-            int(new_man.properties.get("changefeed_floor", 0)), old.applied_lsn
-        )
         # retention horizon is table config — keep the CURRENT setting,
         # not the historical one (same rule as the ctor's INHERIT)
         cur_ret = man.properties.get("changefeed_retention_lsn")
-        if cur_ret is None:
-            new_man.properties.pop("changefeed_retention_lsn", None)
-        else:
-            new_man.properties["changefeed_retention_lsn"] = cur_ret
-        self.store.commit(new_man)
-        self.manifest = new_man
+
+        def roll_back(new_man: Manifest) -> None:
+            _reset_changefeed(new_man)
+            if cur_ret is None:
+                new_man.properties.pop("changefeed_retention_lsn", None)
+            else:
+                new_man.properties["changefeed_retention_lsn"] = cur_ret
+
+        # the content of ``old`` as the version after the head — lineage
+        # continues from the CURRENT head: a restore is an event in this
+        # table's history, not a history rewrite
+        new_man = self._commit(
+            "restore",
+            roll_back,
+            base=dataclasses.replace(old, version=man.version, history=man.history),
+            restored_version=version,
+            from_lsn=man.applied_lsn,
+            to_lsn=old.applied_lsn,
+        )
         return {
             "version": new_man.version,
             "restored_version": version,
@@ -2525,12 +2541,10 @@ class CDCEngine:
             raise ValueError(f"{dst_dir!r} already holds a table — refusing to clone over it")
 
         src_root = os.path.abspath(self.table_dir)
-        new_man = Manifest.from_json(src_man.to_json())
-        new_man.version = 1
         files_copied = 0
+        remap: dict[int, list[str]] = {}
         if not shallow:
             copy_refs = []
-            remap: dict[int, list[str]] = {}
             for pid, part in src_man.partitions.items():
                 dsts = []
                 for f in part.files:
@@ -2545,30 +2559,29 @@ class CDCEngine:
                 remap[pid] = dsts
                 copy_refs.append(_copy_files_task.remote(list(part.files), dsts))
             files_copied = sum(ray.get(copy_refs))
-            for pid, part in new_man.partitions.items():
-                old_files = list(part.files)
-                part.files[:] = remap[pid]
+
+        def relocate(new_man: Manifest) -> None:
+            for pid, dsts in remap.items():
+                part = new_man.partitions[pid]
                 part.file_stats = {
                     new: part.file_stats[old]
-                    for old, new in zip(old_files, remap[pid])
+                    for old, new in zip(part.files, dsts)
                     if old in part.file_stats
                 }
-        new_man.history = list(src_man.history)
-        new_man.history.append(
-            {
-                "op": "clone",
-                "src_table_dir": src_root,
-                "src_version": src_man.version,
-                "shallow": shallow,
-                **self.run_context.as_dict(),
-            }
+                part.files = dsts
+            _reset_changefeed(new_man)
+
+        # version 1 of the clone's own log, carrying the source's history
+        new_man = commit_version(
+            dst_store,
+            dataclasses.replace(src_man, version=0),
+            "clone",
+            relocate,
+            src_table_dir=src_root,
+            src_version=src_man.version,
+            shallow=shallow,
+            **self.run_context.as_dict(),
         )
-        new_man.properties.pop("retained_deltas", None)
-        new_man.properties.pop("retention_since_lsn", None)
-        new_man.properties["changefeed_floor"] = max(
-            int(new_man.properties.get("changefeed_floor", 0)), src_man.applied_lsn
-        )
-        dst_store.commit(new_man)
         return {
             "dst": dst_dir,
             "src_version": src_man.version,
@@ -2880,11 +2893,9 @@ class CDCEngine:
         every key, and reads the rest through the keyed probe
         :func:`_read_keys`, which decodes only the row groups whose footer
         key range holds a key, after one footer scan that is O(row groups
-        per file). Files the CDC engine writes are PK-sorted in row groups
-        of at most ``ROW_GROUP_ROWS`` rows, so there a lookup decodes
-        O(row groups containing the key) × ``ROW_GROUP_ROWS`` rows per
-        file. ``LakeWriter`` overwrite/append staging files keep Ray
-        Data's default row-group size and are not bounded this way. The
+        per file). Every lake data file has row groups of at most
+        ``ROW_GROUP_ROWS`` rows, so a lookup decodes O(row groups
+        containing the key) × ``ROW_GROUP_ROWS`` rows per file. The
         merged result is LWW-reduced, tombstones dropped, public columns,
         PK-sorted.
 

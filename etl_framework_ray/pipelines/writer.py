@@ -40,7 +40,7 @@ from ..sources.changelog import Epoch, Segment
 from ..state.manifest import Manifest, PartitionState
 from ..state.schema import DELETED_COL, LSN_COL, TableSpec
 from ..state import zonemap as zone
-from .cdc import CDCEngine, _single_threaded_arrow
+from .cdc import ROW_GROUP_ROWS, CDCEngine, _single_threaded_arrow
 
 
 @ray.remote
@@ -132,6 +132,17 @@ def _stage_segment_task(
     return {"path": path, "lo": lo, "hi": hi, "rows": n, "counts": counts}
 
 
+def _add_staged(man: Manifest, staged: dict[int, list[tuple[str, int, dict]]]) -> None:
+    """Add staged ``(path, rows, zone stats)`` files to ``man``'s partitions."""
+    for pid, files in staged.items():
+        st = man.partitions.setdefault(pid, PartitionState())
+        for f, n, zstats in files:
+            st.files.append(f)
+            st.rows += n
+            if zstats:
+                st.file_stats[f] = zstats
+
+
 class LakeWriter:
     def __init__(
         self,
@@ -202,17 +213,47 @@ class LakeWriter:
         the staged files invisible, so ERROR-before-visibility matches the
         reference's pre-pass gate (writer.py:31-40) at half the cost.
         Returns rows written."""
-        man = self.engine.manifest
-        version = man.version + 1
         names = self.spec.column_names
         key0 = self.spec.primary_key[0] if self.spec.primary_key else names[0]
+        staged, rows = self._stage_files(ds, "overwrite", 0, key0)
+
+        def replace_all(new_man: Manifest) -> None:
+            new_man.partitions = {}
+            _add_staged(new_man, staged)
+
+        # overwrite is serializable fail-loud: a CommitConflict means
+        # another writer changed the table since we read it — re-running
+        # re-derives the source against the fresh state (auto-rebasing
+        # would silently clobber the concurrent commit). Staged files stay
+        # unreferenced; the graced vacuum spares a concurrent writer's
+        # in-flight staging.
+        new_man = self.engine._commit("overwrite", replace_all, rows=rows)
+        self.engine.store.vacuum(new_man, grace_s=600.0)
+        return rows
+
+    def _stage_files(
+        self, ds: "ray.data.Dataset", kind: str, lsn: int, key0: str
+    ) -> tuple[dict[int, list[tuple[str, int, dict]]], int]:
+        """Stage ``ds`` for an overwrite or append: project onto the
+        declared columns, stamp ``lsn``, route by ``key0`` and write hive
+        ``pid=`` Parquet files (row groups of at most ``ROW_GROUP_ROWS``)
+        under a fresh ``data/<kind>-<uuid>`` directory, with the DQ gate
+        fused into the same pass — ``finalize`` raises BEFORE any commit,
+        so a failed gate leaves the files invisible. Returns, per
+        partition, ``(path, rows, zone stats)`` of each staged file (zone
+        maps from the footers the staging tasks wrote: a metadata-only
+        read, since ``Dataset.write_parquet`` cannot hand task-side stats
+        back), plus the total rows."""
+        import uuid
+
+        man = self.engine.manifest
+        names = self.spec.column_names
         num_partitions = man.num_partitions
-        lake_sch = man.schema
 
         def stage(batch: pa.Table) -> pa.Table:
             batch = batch.select(names)  # declared order (writer.py:37)
             n = batch.num_rows
-            batch = batch.append_column(LSN_COL, pa.array([0] * n, pa.int64()))
+            batch = batch.append_column(LSN_COL, pa.array([lsn] * n, pa.int64()))
             batch = batch.append_column(DELETED_COL, pa.array([False] * n, pa.bool_()))
             pid = partition_ids(batch.column(key0), num_partitions)
             return batch.append_column("pid", pa.array(pid, pa.int64()))
@@ -223,50 +264,24 @@ class LakeWriter:
         # with — and the old rmtree hygiene could DELETE — live committed
         # files of a concurrent writer or of this writer's previous call;
         # aborted attempts are unreferenced and reclaimed by graced vacuum
-        import uuid
-
-        out_dir = os.path.join(
-            self.engine.table_dir, "data", f"overwrite-{uuid.uuid4().hex[:12]}"
-        )
+        out_dir = os.path.join(self.engine.table_dir, "data", f"{kind}-{uuid.uuid4().hex[:12]}")
         try:
             ds.map_batches(fused, batch_format="pyarrow").write_parquet(
-                out_dir, partition_cols=["pid"]
+                out_dir, partition_cols=["pid"], row_group_size=ROW_GROUP_ROWS
             )
         except BaseException:
             gate.abort(handle)  # failed write must not leak the count sink
             raise
         gate.finalize(handle)  # DQError propagates pre-commit; staged files stay invisible
 
-        new_man = Manifest.from_json(man.to_json())
-        new_man.version = version
-        new_man.partitions = {}
+        staged: dict[int, list[tuple[str, int, dict]]] = {}
         rows = 0
         for f in sorted(glob.glob(os.path.join(out_dir, "**", "*.parquet"), recursive=True)):
             pid = int(f.split("pid=")[1].split(os.sep)[0])
-            st = new_man.partitions.setdefault(pid, PartitionState())
-            st.files.append(f)
             n = pq.read_metadata(f).num_rows
-            st.rows += n
+            staged.setdefault(pid, []).append((f, n, zone.stats_from_parquet_meta(f, names)))
             rows += n
-            # zone maps from the footer the staging task already wrote —
-            # metadata-only read, no data decode (Dataset.write_parquet
-            # cannot hand task-side stats back to the driver)
-            zstats = zone.stats_from_parquet_meta(f, names)
-            if zstats:
-                st.file_stats[f] = zstats
-        new_man.history.append(
-            {"op": "overwrite", "version": version, "rows": rows, **self.run_context.as_dict()}
-        )
-        # overwrite is serializable fail-loud: a CommitConflict means
-        # another writer changed the table since we read it — re-running
-        # re-derives the source against the fresh state (auto-rebasing
-        # would silently clobber the concurrent commit). Staged files stay
-        # unreferenced; the graced vacuum spares a concurrent writer's
-        # in-flight staging.
-        self.engine.store.commit(new_man)
-        self.engine.manifest = new_man
-        self.engine.store.vacuum(new_man, grace_s=600.0)
-        return rows
+        return staged, rows
 
     # ------------------------------------------------------------------
     def _stage_changelog(self, ds: "ray.data.Dataset", op: str) -> Epoch | None:
@@ -702,66 +717,16 @@ class LakeWriter:
         from ..state.manifest import CommitConflict
 
         man = self.engine.manifest
-        names = self.spec.column_names
-        key0 = names[0]
         num_partitions = man.num_partitions
         staged_schema_b64 = man.schema_b64  # shape the staged files assume
-        next_lsn = man.applied_lsn + 1
-
-        def stage(batch: pa.Table) -> pa.Table:
-            batch = batch.select(names)
-            n = batch.num_rows
-            batch = batch.append_column(LSN_COL, pa.array([next_lsn] * n, pa.int64()))
-            batch = batch.append_column(DELETED_COL, pa.array([False] * n, pa.bool_()))
-            pid = partition_ids(batch.column(key0), num_partitions)
-            return batch.append_column("pid", pa.array(pid, pa.int64()))
-
-        gate = self._make_gate()
-        fused, handle = gate.wrap_stage(stage)
-        # unique per CALL, not version-keyed (see overwrite)
-        import uuid
-
-        out_dir = os.path.join(
-            self.engine.table_dir, "data", f"append-{uuid.uuid4().hex[:12]}"
+        staged, rows = self._stage_files(
+            ds, "append", man.applied_lsn + 1, self.spec.column_names[0]
         )
-        try:
-            ds.map_batches(fused, batch_format="pyarrow").write_parquet(
-                out_dir, partition_cols=["pid"]
-            )
-        except BaseException:
-            gate.abort(handle)
-            raise
-        gate.finalize(handle)  # DQError propagates pre-commit
-
-        staged: dict[int, list[tuple[str, int, dict]]] = {}
-        rows = 0
-        for f in sorted(glob.glob(os.path.join(out_dir, "**", "*.parquet"), recursive=True)):
-            pid = int(f.split("pid=")[1].split(os.sep)[0])
-            n = pq.read_metadata(f).num_rows
-            staged.setdefault(pid, []).append((f, n, zone.stats_from_parquet_meta(f, names)))
-            rows += n
 
         for _attempt in range(10):
             man = self.engine.manifest
-            new_man = Manifest.from_json(man.to_json())
-            new_man.version = man.version + 1
-            for pid, files in staged.items():
-                st = new_man.partitions.setdefault(pid, PartitionState())
-                for f, n, zstats in files:
-                    st.files.append(f)
-                    st.rows += n
-                    if zstats:
-                        st.file_stats[f] = zstats
-            new_man.history.append(
-                {
-                    "op": "append",
-                    "version": new_man.version,
-                    "rows": rows,
-                    **self.run_context.as_dict(),
-                }
-            )
             try:
-                self.engine.store.commit(new_man)
+                self.engine._commit("append", lambda m: _add_staged(m, staged), rows=rows)
             except CommitConflict:
                 latest = self.engine.store.load()
                 if latest is None or latest.version <= man.version:
@@ -788,7 +753,6 @@ class LakeWriter:
                     ) from None
                 self.engine.manifest = latest
                 continue
-            self.engine.manifest = new_man
             return rows
         raise CommitConflict(
             f"append to {self.spec.name!r} lost the commit race 10 times in a row"

@@ -146,22 +146,6 @@ def read_manifest(dir_: str) -> dict:
         return json.load(fh)
 
 
-def read_bucketed(dir_: str) -> "ray.data.Dataset":
-    """Read a bucketed table back as one Dataset (bucket order)."""
-    man = read_manifest(dir_)
-    paths = []
-    for i in range(man["num_buckets"]):
-        bdir = os.path.join(dir_, f"bucket={i:05d}")
-        paths.extend(
-            os.path.join(bdir, f)
-            for f in sorted(os.listdir(bdir))
-            if f.endswith(".parquet")
-        )
-    # partitioning=None: the bucket=NNNNN dirs are layout, not a hive
-    # column — reads must round-trip the written schema exactly
-    return ray.data.read_parquet(paths, partitioning=None)
-
-
 def bucketed_equi_join(
     left_dir: str,
     right_dir: str,

@@ -36,8 +36,6 @@ Semantics (SQL parity, checked against DuckDB):
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -65,15 +63,6 @@ def rollup_sets(cols: list[str]) -> list[tuple[str, ...]]:
     """ROLLUP(c1..ck): every prefix, finest first — ((c1..ck) ... (c1) ())."""
     cols = list(cols)
     return [tuple(cols[:i]) for i in range(len(cols), -1, -1)]
-
-
-def cube_sets(cols: list[str]) -> list[tuple[str, ...]]:
-    """CUBE(c1..ck): every subset, larger first, tie-broken by position."""
-    cols = list(cols)
-    out: list[tuple[str, ...]] = []
-    for size in range(len(cols), -1, -1):
-        out.extend(combinations(cols, size))
-    return out
 
 
 def grouping_sets(

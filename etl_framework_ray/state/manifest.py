@@ -15,6 +15,7 @@ The protocol follows the published Delta Lake design (Armbrust et al.,
 Stores", VLDB 2020): an ordered log of atomic manifest versions is the
 source of truth; data files are immutable and invisible until committed;
 time travel reads any retained version; vacuum bounds retention.
+:func:`commit_version` forms every version and writes its one history row.
 
 Layout::
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import pyarrow as pa
 
 from .backend import CommitBackend, PosixCommitBackend
-from .schema import schema_from_b64, schema_to_b64
+from .schema import TableSpec, lake_schema, schema_from_b64, schema_to_b64
 
 
 @dataclass
@@ -85,7 +86,8 @@ class Manifest:
     partitions: dict[int, PartitionState] = field(default_factory=dict)
     properties: dict = field(default_factory=dict)
     primary_key: list[str] = field(default_factory=list)
-    #: append-only lineage: one entry per committed epoch
+    #: append-only lineage: one row per commit after creation, written
+    #: by :func:`commit_version`
     history: list[dict] = field(default_factory=list)
     #: wall-clock commit time (stamped by ManifestStore.commit) — enables
     #: timestamp time travel; None for pre-upgrade versions
@@ -286,3 +288,43 @@ class ManifestStore:
                     os.remove(p)
                     removed += 1
         return removed
+
+
+def create_table(
+    store: ManifestStore, spec: TableSpec, num_partitions: int, properties: dict
+) -> Manifest:
+    """Commit version 1 of the empty table ``spec`` describes. Creation is
+    the one commit with no history row: every later version adds exactly
+    one, so the lineage of applied epochs and ``describe()``'s commit
+    count start after it."""
+    empty = Manifest(
+        table=spec.name,
+        version=0,
+        num_partitions=num_partitions,
+        schema_b64=schema_to_b64(lake_schema(spec)),
+        primary_key=list(spec.primary_key),
+        properties=properties,
+    )
+    return commit_version(store, empty, None)
+
+
+def commit_version(
+    store: ManifestStore, base: Manifest, op: str | None, change=None, **row
+) -> Manifest:
+    """THE way a table version is formed: copy ``base`` once, bump its
+    version, let ``change(new)`` edit partitions, properties or schema,
+    append one history row ``{op, version, epoch_id, **row}`` (``epoch_id``
+    = the new version's watermark; ``op`` None only for creation), and
+    publish through ``store.commit`` — the one CAS point, so a stale
+    ``base`` raises :class:`CommitConflict` and nothing is published.
+    The copy shares nested property values (lists, dicts) with ``base``:
+    ``change`` replaces them, never edits them in place, so a losing
+    commit leaves ``base`` as it was. Returns the committed manifest."""
+    new = Manifest.from_json(base.to_json())
+    new.version = base.version + 1
+    if change is not None:
+        change(new)
+    if op is not None:
+        new.history.append({"op": op, "version": new.version, "epoch_id": new.applied_lsn, **row})
+    store.commit(new)
+    return new

@@ -33,8 +33,8 @@ from typing import Callable, Sequence
 
 import pyarrow as pa
 
-from ..state.manifest import Manifest, ManifestStore
-from ..state.schema import TableSpec, lake_schema, schema_to_b64, widen
+from ..state.manifest import Manifest, ManifestStore, commit_version, create_table
+from ..state.schema import TableSpec, widen
 from .actions import AlignTable, TablePlan
 from .planner import ValidationError, plan_table, validate_model, validate_plan
 
@@ -137,20 +137,14 @@ class ActionRunner:
         store = self._store(spec.name)
         if store.load() is not None:
             return  # idempotent create-if-missing (create_executor.py:26-57)
-        store.commit(
-            Manifest(
-                table=spec.name,
-                version=1,
-                num_partitions=16,
-                schema_b64=schema_to_b64(lake_schema(spec)),
-                primary_key=list(spec.primary_key),
-                properties=dict(spec.properties),
-            )
-        )
+        create_table(store, spec, 16, dict(spec.properties))
 
     def _align(self, spec: TableSpec, align: AlignTable) -> None:
         store = self._store(spec.name)
-        man = store.load()
+        commit_version(store, store.load(), "align", lambda man: self._aligned(man, align))
+
+    @staticmethod
+    def _aligned(man: Manifest, align: AlignTable) -> None:
         fields = {f.name: f for f in man.schema}
         order = [f.name for f in man.schema]
 
@@ -183,8 +177,6 @@ class ActionRunner:
 
         man.set_schema(pa.schema([fields[n] for n in order]))
         man.schema_version += 1
-        man.version += 1
-        store.commit(man)
 
 
 @dataclass
@@ -257,9 +249,9 @@ class Orchestrator:
             if man is None:
                 continue
             if man.properties.get("foreign_keys", {}) != desired:
-                man.properties["foreign_keys"] = desired
-                man.version += 1
-                store.commit(man)
+                commit_version(
+                    store, man, "foreign_keys", lambda m: m.properties.update(foreign_keys=desired)
+                )
                 applied.append(f"fks {spec.name}")
         if errors:
             raise RuntimeError("; ".join(errors))

@@ -3,12 +3,7 @@
 import duckdb
 import pytest
 
-from etl_framework_ray.functions.naming import (
-    constraint_name,
-    format_properties,
-    split_table_name,
-    validate_identifier,
-)
+from etl_framework_ray.functions.naming import constraint_name, validate_identifier
 
 SF = "/root/testdata/sf0.001"
 
@@ -20,13 +15,6 @@ def test_validate_identifier():
             validate_identifier(bad)
 
 
-def test_split_table_name():
-    assert split_table_name("dev.silver.orders") == ("dev", "silver", "orders")
-    assert split_table_name("orders") == ("orders",)
-    with pytest.raises(ValueError):
-        split_table_name("a.b;drop")
-
-
 def test_constraint_name_deterministic_and_bounded():
     a = constraint_name("pk", "transcripts", ("conv_id", "turn_idx"))
     b = constraint_name("pk", "transcripts", ("conv_id", "turn_idx"))
@@ -34,10 +22,6 @@ def test_constraint_name_deterministic_and_bounded():
     c = constraint_name("pk", "t" * 100, ("c" * 100,))
     assert len(c) <= 63
     assert a != constraint_name("pk", "transcripts", ("turn_idx", "conv_id"))  # order matters
-
-
-def test_format_properties_sorted():
-    assert format_properties({"b": 1, "a": "x"}) == "a='x', b=1"
 
 
 def test_check_failures_threshold(tmp_path):

@@ -15,7 +15,7 @@ from etl_framework_ray.functions.quality import (
     DQGate,
     apply_checks_and_split,
     build_checks,
-    evaluate_batch,
+    evaluate_batch_detail,
     read_audit,
     read_failures,
 )
@@ -52,7 +52,8 @@ def test_masks_vectorized():
     checks = build_checks(_spec())
     names = {c.name for c in checks}
     assert names == {"k_is_not_null", "price_is_in_range", "status_is_in_list"}
-    counts = evaluate_batch(_batch([1.0, -2.0, None], ["a", "z", None]), checks)
+    batch = _batch([1.0, -2.0, None], ["a", "z", None])
+    counts, _ = evaluate_batch_detail(batch, checks, ("k",), "t", {})
     # nulls don't fail range/list rules; -2 fails range; z fails list
     assert counts == {"price_is_in_range": 1, "status_is_in_list": 1}
 

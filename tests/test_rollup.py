@@ -8,7 +8,7 @@ import pyarrow as pa
 import pytest
 import ray
 
-from etl_framework_ray.stages.rollup import cube_sets, grouping_sets, rollup_sets
+from etl_framework_ray.stages.rollup import grouping_sets, rollup_sets
 
 AGGS = {
     "n_rows": ("count", None),
@@ -74,7 +74,7 @@ def test_rollup_matches_duckdb():
 @pytest.mark.usefixtures("ray_session")
 def test_cube_and_custom_sets_match_duckdb():
     df = _frame(seed=5, n=2500)
-    got = _norm(_run(df, cube_sets(["a", "b"])))
+    got = _norm(_run(df, [("a", "b"), ("a",), ("b",), ()]))  # CUBE(a, b)
     exp = _norm(_oracle(df, "((a, b), (a), (b), ())"))
     pd.testing.assert_frame_equal(got[exp.columns], exp)
 
@@ -129,7 +129,6 @@ def test_empty_input_emits_only_zero_column_sets():
 @pytest.mark.usefixtures("ray_session")
 def test_helpers_and_validation():
     assert rollup_sets(["a", "b"]) == [("a", "b"), ("a",), ()]
-    assert cube_sets(["a", "b"]) == [("a", "b"), ("a",), ("b",), ()]
     ds = ray.data.from_pandas(_frame(n=50))
     with pytest.raises(ValueError, match="duplicate"):
         grouping_sets(ds, [("a",), ("a",)], AGGS)

@@ -1,6 +1,7 @@
 """Bounded row groups and the keyed file probe.
 
-Every lake data file the CDC engine writes carries row groups of at most
+Every lake data file — written by the CDC engine or staged by
+``LakeWriter`` overwrite and append — carries row groups of at most
 ``cdc.ROW_GROUP_ROWS`` rows, and point reads (``lookup``, the patch fold's
 ``_read_prior_rows``, ``purge``) decode only the groups whose leading-key
 footer range brackets a wanted key (``cdc._read_keys``). The first test
@@ -35,6 +36,9 @@ def _kind(path: str) -> str:
     """Which write site produced a CDC data file, from its place in the
     layout."""
     name, parent = os.path.basename(path), os.path.dirname(path)
+    for kind in ("append", "overwrite"):
+        if f"{os.sep}{kind}-" in path:
+            return f"{kind} staging"
     if "purge=v" in path:
         return "purge rewrite"
     if "salt=v" in path:
@@ -78,7 +82,8 @@ def test_every_lake_data_file_bounds_its_row_groups(tmp_path):
     eng.reshard(new_num_partitions=1)
     _record(_data_files(table), seen)
 
-    # PK-less table: sorted OPTIMIZE of ≈6k rows per partition
+    # PK-less table: append staging and its sorted OPTIMIZE, ≈6k rows per
+    # partition
     spec = TableSpec(
         name="evlog",
         columns=(
@@ -103,11 +108,31 @@ def test_every_lake_data_file_bounds_its_row_groups(tmp_path):
         )
     )
     w.engine.compact(sort_by=["ts"])
-    # the writer's append staging files are not engine-written data files
-    appended = _data_files(str(tmp_path / "append"))
-    _record([f for f in appended if _kind(f) == "optimize"], seen)
+    _record(_data_files(str(tmp_path / "append")), seen)
+    # one overwrite table of ≈6k rows per partition
+    w = LakeWriter(str(tmp_path / "overwrite"), spec, num_partitions=2)
+    w.overwrite(
+        ray.data.from_arrow(
+            pa.table(
+                {
+                    "event_id": pa.array(range(n), pa.int64()),
+                    "ts": pa.array([base] * n, pa.timestamp("us")),
+                }
+            )
+        )
+    )
+    _record(_data_files(str(tmp_path / "overwrite")), seen)
 
-    kinds = {"delta", "compacted base", "retained delta", "purge rewrite", "migration", "optimize"}
+    kinds = {
+        "delta",
+        "compacted base",
+        "retained delta",
+        "purge rewrite",
+        "migration",
+        "optimize",
+        "append staging",
+        "overwrite staging",
+    }
     assert set(seen) == kinds
     for kind, (rows, group) in seen.items():
         assert rows > cap, f"{kind}: no file larger than one group ({rows} rows)"
