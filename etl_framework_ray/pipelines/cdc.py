@@ -56,7 +56,7 @@ import ray
 from ..context import DEFAULT_NUM_PARTITIONS, RunContext
 from ..functions.hashing import salted_partition_ids, stable_hash_array
 from ..sources.changelog import ChangeLog, Epoch
-from ..stages.lww import lww_reduce, lww_survivor_indices
+from ..stages.lww import last_per_key_mask, lww_reduce, lww_survivor_indices
 from ..state.manifest import (
     CommitConflict,
     Manifest,
@@ -175,11 +175,18 @@ def pruned_lake_schema(
     return pa.schema([f for f in lake_sch if f.name in need])
 
 
-def _read_pruned(path: str, lake_sch: pa.Schema, conjuncts=None) -> pa.Table:
-    """One lake data file, normalized to ``lake_sch``, decoding only the
-    row groups whose footer stats could satisfy ``conjuncts``
-    (``zone.qualifying_row_groups``; PK-only under merge-on-read)."""
-    pf = pq.ParquetFile(path)
+def _parquet(f) -> pq.ParquetFile:
+    """A lake data file's reader: ``f`` is a path, or the file already
+    opened (:func:`partition_chunks` opens each footer once)."""
+    return f if isinstance(f, pq.ParquetFile) else pq.ParquetFile(f)
+
+
+def _read_pruned(f, lake_sch: pa.Schema, conjuncts=None) -> pa.Table:
+    """One lake data file (path or opened), normalized to ``lake_sch``,
+    decoding only the row groups whose footer stats could satisfy
+    ``conjuncts`` (``zone.qualifying_row_groups``; PK-only under
+    merge-on-read)."""
+    pf = _parquet(f)
     have = set(pf.schema_arrow.names)
     cols = [n for n in lake_sch.names if n in have]
     keep = zone.qualifying_row_groups(pf, conjuncts) if conjuncts else None
@@ -193,15 +200,16 @@ def _read_pruned(path: str, lake_sch: pa.Schema, conjuncts=None) -> pa.Table:
 
 
 def merge_partition_files(
-    files: list[str],
+    files: list,
     lake_sch: pa.Schema,
     key_cols: tuple[str, ...],
     conjuncts=None,
 ) -> pa.Table:
     """Merge-on-read of one partition: concat its base+delta files (oldest
-    first), LWW-reduce on the key. Output is key-sorted and still carries
-    tombstones + bookkeeping columns. ``conjuncts`` skip row groups by
-    footer stats (PK-only under merge — see _iter_file_chunks)."""
+    first; paths or opened files), LWW-reduce on the key. Output is
+    key-sorted and still carries tombstones + bookkeeping columns.
+    ``conjuncts`` skip row groups by footer stats (PK-only under merge —
+    see _iter_file_chunks)."""
     if not files:
         return lake_sch.empty_table()
     tables = [_read_pruned(f, lake_sch, conjuncts) for f in files]
@@ -380,13 +388,15 @@ def _fold_epoch_patches(
     late-event rule): a full image arriving in a LATER epoch with
     (ts, lsn) BELOW an already-resolved patch loses LWW at read time —
     patches are resolved once, not retro-rebased. Keys without patches
-    take the plain vectorized LWW path; the pandas fold below touches
-    ONLY patch keys (trickle-sized by assumption).
+    take the plain vectorized LWW path. The patch keys fold columnar, in
+    Arrow and numpy: one stable sort of their events and prior rows by
+    (key, ts, lsn, source), where the source breaks a tie in favour of
+    the epoch's event (a re-delivered prior row applies again); the base
+    per key is a segmented max over the full images' sorted positions,
+    and each payload column takes its value from the key's last kept row
+    where it is non-NULL (a segmented max over valid positions).
     """
     import numpy as np
-    import pandas as pd
-
-    from ..stages.util import null_safe_from_pandas
 
     chg_schema = changes.schema
     order_cols = _lww_order(chg_schema, "lsn")
@@ -413,55 +423,57 @@ def _fold_epoch_patches(
             pr_cols.append(pa.nulls(prior.num_rows, f.type))
     prior_chg = pa.Table.from_arrays(pr_cols, schema=chg_schema)
 
-    ev = patch.to_pandas()
-    ev["_src"] = 1  # epoch event
-    pr = prior_chg.to_pandas()
-    pr["_src"] = 0  # prior lake state (re-delivered duplicates sort after it)
-    df = pd.concat([pr, ev], ignore_index=True)
-    df = df.sort_values([*key_cols, *order_cols, "_src"], kind="stable", ignore_index=True)
-
-    n = len(df)
-    gid = df.groupby(list(key_cols), sort=False).ngroup().to_numpy()
+    # the epoch's events first, the prior lake rows after: on equal
+    # (key, ts, lsn) the _src sort key alone puts the event last
+    ev = pa.concat_tables([patch, prior_chg])
+    src = np.repeat(np.array([1, 0], np.int8), [patch.num_rows, prior.num_rows])
+    sort_cols = [*key_cols, *order_cols, "_src"]
+    order = pc.sort_indices(
+        ev.select(sort_cols[:-1]).append_column("_src", pa.array(src)),
+        sort_keys=[(c, "ascending") for c in sort_cols],
+    ).to_numpy()
+    n = len(order)
     idx = np.arange(n)
-    ops = df["op"].to_numpy()
-    is_p = ops == "P"
-    n_patches = int(is_p.sum())
-    base_idx = np.where(~is_p, idx, -1)
-    last_base = pd.Series(base_idx).groupby(gid).transform("max").to_numpy()
-    has_base = last_base >= 0
-    base_op = np.full(n, "", dtype=object)
-    base_op[has_base] = ops[last_base[has_base].astype(np.int64)]
-    # keep the base and everything after it; drop patches on a deleted base
-    keep = has_base & (idx >= last_base) & ~((base_op == "D") & is_p)
+    is_last = last_per_key_mask(ev.select(list(key_cols)).take(order), key_cols)
+    ends = np.flatnonzero(is_last)
+    starts = np.flatnonzero(np.concatenate([[True], is_last[:-1]])) if n else ends
+    sizes = ends - starts + 1
 
-    kept = df.loc[keep]
-    kgid = gid[keep]
-    n_applied = int(is_p[keep].sum())
-    payload = [
-        f.name
-        for f in chg_schema
-        if f.name not in ("lsn", "op", *key_cols, *order_cols)
-    ]
-    if payload and len(kept):
-        kept = kept.copy()
-        kept[payload] = kept.groupby(kgid)[payload].ffill()
-    last = np.zeros(len(kept), dtype=bool)
-    if len(kept):
-        last[-1] = True
-        last[:-1] = kgid[:-1] != kgid[1:]
-    res = kept.loc[last]
-    res = res[res["_src"] == 1]  # result == prior → nothing new to write
-    if len(res):
-        res = res.copy()
-        res.loc[res["op"] == "P", "op"] = "U"  # a resolved patch is a full update
+    def sorted_mask(arr) -> np.ndarray:
+        return arr.to_numpy(zero_copy_only=False)[order]
 
-    folded = pa.Table.from_arrays(
-        [null_safe_from_pandas(res[f.name], f.type) for f in chg_schema],
-        schema=chg_schema,
-    )
+    is_p = sorted_mask(pc.equal(ev.column("op"), "P"))
+    is_d = sorted_mask(pc.equal(ev.column("op"), "D"))
+    # per key: the last full image (the base), -1 when there is none
+    base = np.maximum.reduceat(np.where(is_p, -1, idx), starts)
+    has_base = base >= 0
+    base_del = has_base & is_d[np.maximum(base, 0)]
+    # keep the base and every patch after it; a deleted base keeps no patch
+    row_base = np.repeat(base, sizes)
+    keep = (row_base >= 0) & (idx >= row_base) & ~(np.repeat(base_del, sizes) & is_p)
+    n_discarded = int((is_p & ~keep).sum())
+    last = np.where(base_del, base, ends)
+    # the resolved row equals the prior one when no epoch event applies
+    emit = has_base & (src[order[last]] == 1)
+    rows = last[emit]
+
+    cols = []
+    for f in chg_schema:
+        col = ev.column(f.name)
+        if f.name in ("lsn", "op", *key_cols, *order_cols):
+            pos = rows
+        else:
+            valid = np.where(sorted_mask(col.is_valid()) & keep, idx, -1)
+            pos = np.maximum.reduceat(valid, starts)[emit]
+            pos = np.where(pos >= 0, pos, rows)  # NULL in every kept row
+        col = col.take(pa.array(order[pos]))
+        if f.name == "op":  # a resolved patch is a full update
+            col = pc.if_else(pc.equal(col, "P"), pa.scalar("U"), col)
+        cols.append(col)
+    folded = pa.Table.from_arrays(cols, schema=chg_schema)
     out = pa.concat_tables([plain_rows, _changes_to_lake_rows(folded, lake_sch)])
     out = out.sort_by([(k, "ascending") for k in key_cols])  # delta files are key-sorted
-    return out, n_patches - n_applied
+    return out, n_discarded
 
 
 def _is_cdc_sorted(files: list[str]) -> bool:
@@ -471,7 +483,7 @@ def _is_cdc_sorted(files: list[str]) -> bool:
     return all(_CDC_FILE_RE.match(os.path.basename(f)) for f in files)
 
 
-def _iter_file_chunks(path: str, lake_sch: pa.Schema, chunk_rows: int, conjuncts=None):
+def _iter_file_chunks(f, lake_sch: pa.Schema, chunk_rows: int, conjuncts=None):
     # prune at the read: only the target schema's columns leave the file —
     # with a pruned lake schema (column-projected snapshot) the payload
     # columns a consumer didn't ask for are never decoded. ``conjuncts``
@@ -479,7 +491,7 @@ def _iter_file_chunks(path: str, lake_sch: pa.Schema, chunk_rows: int, conjuncts
     # additionally skip row groups by footer stats: base files are
     # PK-SORTED, so their groups carry tight disjoint key ranges and a
     # key predicate decodes only the matching slice of each file
-    pf = pq.ParquetFile(path)
+    pf = _parquet(f)
     have = set(pf.schema_arrow.names)
     cols = [n for n in lake_sch.names if n in have]
     keep = zone.qualifying_row_groups(pf, conjuncts) if conjuncts else None
@@ -564,9 +576,10 @@ def iter_merged_partition(
     conjuncts=None,
 ):
     """STREAMING merge-on-read of one partition: k-way chunk merge over the
-    key-sorted base/delta files (plus an optional in-memory key-sorted
-    table, e.g. an epoch's reduced changes), yielding key-sorted,
-    LWW-reduced, key-COMPLETE chunks — no key ever spans two yields.
+    key-sorted base/delta files (paths or opened files; plus an optional
+    in-memory key-sorted table, e.g. an epoch's reduced changes),
+    yielding key-sorted, LWW-reduced, key-COMPLETE chunks — no key ever
+    spans two yields.
 
     Peak memory is O(chunk_rows × open files) instead of O(partition), so
     partitions can be sized well past worker heap (the 100-TB sizing knob
@@ -601,21 +614,30 @@ def partition_chunks(
     included. Every partition read — snapshot, changefeed, diff,
     compaction and view rebuilds — goes through here.
 
-    Engine-written stacks (``_is_cdc_sorted``) of a ≤2-column PK stream
-    through :func:`iter_merged_partition` at peak memory
-    O(chunk × files); writer-staged (unsorted) files and wider PKs take
-    the whole-partition :func:`merge_partition_files` and yield one
-    chunk. ``conjuncts`` skip row groups by footer stats (PK conjuncts
-    under merge, any conjunct on a PK-less table)."""
+    A stack whose footer row count, plus ``extra_sorted``'s rows, is at
+    most ``chunk_rows`` takes the whole-partition
+    :func:`merge_partition_files` and yields one chunk: it holds no more
+    than one streamed chunk would, and skips the per-round alignment
+    cost. Above that, engine-written stacks (``_is_cdc_sorted``) of a
+    ≤2-column PK stream through :func:`iter_merged_partition`, so peak
+    memory is O(min(stack, chunk × files)); writer-staged (unsorted)
+    files and wider PKs always take the whole-partition merge. Each
+    footer is opened once. ``conjuncts`` skip row groups by footer stats
+    (PK conjuncts under merge, any conjunct on a PK-less table)."""
     files = list(files)
-    if key_cols and len(key_cols) <= 2 and _is_cdc_sorted(files):
+    pfs = [pq.ParquetFile(f) for f in files]
+    rows = sum(pf.metadata.num_rows for pf in pfs)
+    if extra_sorted is not None:
+        rows += extra_sorted.num_rows
+    if rows > chunk_rows and key_cols and len(key_cols) <= 2 and _is_cdc_sorted(files):
         yield from iter_merged_partition(
-            files, lake_sch, key_cols, extra_sorted, chunk_rows, conjuncts
+            pfs, lake_sch, key_cols, extra_sorted, chunk_rows, conjuncts
         )
         return
-    t = merge_partition_files(files, lake_sch, key_cols, conjuncts)
+    t = merge_partition_files(pfs, lake_sch, key_cols, conjuncts)
     if extra_sorted is not None and extra_sorted.num_rows:
-        t = lww_reduce(pa.concat_tables([t, extra_sorted]), key_cols, _lww_order(lake_sch, LSN_COL))
+        t = pa.concat_tables([t, normalize_table(extra_sorted, lake_sch)])
+        t = lww_reduce(t, key_cols, _lww_order(lake_sch, LSN_COL))
     if t.num_rows:
         yield t
 

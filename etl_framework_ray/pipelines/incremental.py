@@ -3,12 +3,12 @@
 ``IncrementalRollup`` keeps the gold ``conversation_rollup`` aggregate
 (publish.py) continuously up to date WITHOUT recomputing the whole table:
 each ``advance()`` call lists the delta files committed since the view's
-watermark, derives the set of TOUCHED conversations (and therefore touched
-hash partitions), recomputes the rollup for exactly those conversations
-from the lake's merge-on-read state, and splices the fresh rows into the
-view's partition files — untouched partitions carry forward by reference,
-untouched conversations inside a touched partition carry forward from the
-previous view file.
+watermark by hash partition, derives each partition's TOUCHED
+conversations inside that partition's task, recomputes the rollup for
+exactly those conversations from the lake's merge-on-read state, and
+splices the fresh rows into the view's partition files — untouched
+partitions carry forward by reference, untouched conversations inside a
+touched partition carry forward from the previous view file.
 
 Every view here is one :class:`MaintainedView` — a single driver for any
 number of co-partitioned source engines. The rollup family is its
@@ -29,16 +29,20 @@ re-projecting silver state (/root/reference/src/gold/order_fact.py:75-88),
 made incremental by the CDC lineage.
 
 Scale shape (100-TB audit):
-- Touched-conversation discovery is one Ray task per new delta file
-  returning UNIQUE conversation-id hashes; the driver holds and broadcasts
-  O(changed conversations) per window — the documented O(dups)-style
-  broadcast, never O(corpus).
-- Recompute is one Ray task per TOUCHED partition: streamed k-way
-  merge-on-read (peak memory O(chunk x files)), a vectorized partial
-  rollup per chunk, one combine per task. No shuffle anywhere — the view
-  is partitioned by the same ``hash(conv_id) % P`` as the lake, so every
-  group's turns are already co-located (salted hot keys pull their fanout
-  partitions' files into the one task that owns the group).
+- An advance is ONE round of Ray tasks: the driver lists the new
+  changefeed files per partition (footer-free: names only) and starts one
+  task per partition that has any. Each task derives its touched
+  conversations itself — the unique conversation-id hashes of its
+  changefeed files that are homed in its partition — so no touched set
+  is gathered or broadcast, and a task that finds none keeps the old
+  file and counts as untouched.
+- Recompute inside that task: merge-on-read (one chunk for a small
+  stack, a streamed k-way merge above that; peak memory O(chunk x
+  files)), a vectorized partial rollup per chunk, one combine per task.
+  No shuffle anywhere — the view is partitioned by the same
+  ``hash(conv_id) % P`` as the lake, so every group's turns are already
+  co-located (salted hot keys pull their fanout partitions' changefeed
+  and files into the one task that owns the group).
 - Commit is a versioned manifest swap (tmp+rename); superseded and
   crash-orphaned view files are pruned AFTER the commit, so readers of the
   previous version never race a delete within ``advance()`` itself.
@@ -83,47 +87,26 @@ _CHANGES_DIR = "_changes"
 _METRICS = "_view_metrics.jsonl"
 
 
-@ray.remote
-def _touched_hashes_task(path: str, key_col: str) -> np.ndarray:
-    """Unique key hashes present in one delta file (column-pruned read;
-    output is O(distinct keys in the file))."""
-    from .cdc import _single_threaded_arrow
-
-    _single_threaded_arrow()
-    t = pq.read_table(path, columns=[key_col])
-    return np.unique(stable_hash_array(t.column(key_col)))
-
-
-def _salt_fanout_files(
-    man, salt_map: dict, touched, touched_pids, num_partitions: int
-) -> dict[int, list[str]]:
-    """Extra lake files a view's partition task must read because of
-    hot-key salting: a salted key's rows fan out across ``(hash+s) % P``
-    partitions while its VIEW row lives with its home partition — the
-    task owning the home pid reads the fanout partitions' file stacks
-    too (rows are filtered back down by touched/pid inside the task).
-    ``touched=None`` means a full rebuild (every salted key qualifies)."""
-    extra_files: dict[int, list[str]] = {}
+def _salt_fanout(salt_map: dict, num_partitions: int) -> dict[int, list[tuple[int, list[int]]]]:
+    """Hot-key salting as the view sees it: a salted key's rows fan out
+    across ``(hash+s) % P`` partitions while its VIEW row lives with its
+    home partition ``hash % P``. Returns ``{home pid: [(key hash, fanout
+    pids other than home)]}`` for every key in ``salt_map``; the task
+    owning the home pid reads those partitions' changefeed and file
+    stacks too (rows are filtered back down by touched/pid inside the
+    task)."""
+    out: dict[int, list[tuple[int, list[int]]]] = {}
     if not salt_map:
-        return extra_files
+        return out
     sm_vals = np.array(list(salt_map.keys()), dtype=object)
-    sm_hash = stable_hash_array(sm_vals)
-    for val, h in zip(sm_vals, sm_hash):
+    for val, h in zip(sm_vals, stable_hash_array(sm_vals)):
         home = int(h % np.uint64(num_partitions))
-        if touched is not None and not in_sorted(
-            np.array([h], dtype=np.uint64), touched
-        )[0]:
-            continue
-        if home not in touched_pids:
-            continue
-        fanout = int(salt_map[val])
-        for s in range(fanout):
-            fpid = int((h + np.uint64(s)) % np.uint64(num_partitions))
-            if fpid != home:
-                extra_files.setdefault(home, []).extend(
-                    man.partitions[fpid].files if fpid in man.partitions else []
-                )
-    return extra_files
+        fanout = {
+            int((h + np.uint64(s)) % np.uint64(num_partitions))
+            for s in range(int(salt_map[val]))
+        }
+        out.setdefault(home, []).append((int(h), sorted(fanout - {home})))
+    return out
 
 
 def _prune_view_dir(dirpath: str, live: set[str], grace_s: float) -> None:
@@ -221,7 +204,8 @@ def _read_dir_arrow(state: dict | None, schema: pa.Schema, sort_keys: list[str])
 def _splice_results(files: dict[str, str], results: list[dict]) -> int:
     """Fold per-partition rewrite results into ``files`` (pid -> path): a
     partition left empty drops out and its just-written file is removed.
-    Returns the rows written."""
+    Returns the rows written. ``results`` holds the rewritten partitions
+    only (a task that found no touched key returned None)."""
     rows = 0
     for r in results:
         rows += int(r["rows"])
@@ -244,12 +228,46 @@ def _view_partition_task(body, ctx: dict, item: dict) -> dict:
 
 
 def _run_partitions(body, ctx: dict, items: list[dict]) -> list[dict]:
-    """One round of direct tasks, one per touched partition, sharing ONE
-    ``ray.put`` context; like the lake reduce (``cdc._apply_pid_task``) it
-    skips untouched partitions, so an advance costs in proportion to the
-    partitions it touches. Returns the O(touched partitions) meta dicts."""
+    """THE one round of an advance: direct tasks, one per partition with
+    changefeed files (or, on a rebuild, with lake files), sharing ONE
+    ``ray.put`` context. Each task discovers its own touched keys
+    (:func:`_partition_inputs`), so no discovery round runs before it;
+    like the lake reduce (``cdc._apply_pid_task``) partitions without
+    changes get no task, so an advance costs in proportion to the
+    partitions it touches. Returns the meta dicts of the partitions that
+    were rewritten."""
     ctx_ref = ray.put(ctx)
-    return ray.get([_view_partition_task.remote(body, ctx_ref, it) for it in items])
+    metas = ray.get([_view_partition_task.remote(body, ctx_ref, it) for it in items])
+    return [m for m in metas if m is not None]
+
+
+def _partition_inputs(ctx: dict, item: dict):
+    """Touched-key discovery for one view partition — the one place a view
+    reads its changefeed. Returns ``(touched, stacks)``: the sorted unique
+    hashes of the view key in the item's changefeed files whose UNSALTED
+    home is this pid (None on a rebuild, where every key qualifies), and
+    per source the file stack to merge, i.e. the partition's own files
+    plus the fanout partitions' files of each touched salted key homed
+    here. Returns None when the changes hold no key homed here (only
+    another home's salted rows): the partition keeps its old file."""
+    pid, key, P = item["pid"], ctx["key"], np.uint64(ctx["num_partitions"])
+    touched = None
+    if item["changes"] is not None:
+        hashes = [
+            stable_hash_array(pq.read_table(f, columns=[key]).column(key))
+            for f in item["changes"]
+        ]
+        h = np.unique(np.concatenate(hashes)) if hashes else np.array([], np.uint64)
+        touched = h[(h % P).astype(np.int64) == pid]
+        if not len(touched):
+            return None
+    stacks = []
+    for files, salted in zip(item["files"], item["salted"]):
+        for h, fanout_files in salted:
+            if touched is None or in_sorted(np.array([h], np.uint64), touched)[0]:
+                files = files + fanout_files
+        stacks.append(list(dict.fromkeys(files)))  # two salted keys may share a fanout pid
+    return touched, stacks
 
 
 def _live_rows(chunk: pa.Table, key: str, num_partitions: int, pid: int, touched) -> pa.Table:
@@ -279,12 +297,18 @@ def rebuild_partition(ctx: dict, item: dict) -> dict:
     touched conversations' merged lake rows, splice in the untouched
     rows of the previous view file, write the new file (and, when the
     view emits changes, its REPLACE delta). ``ctx`` is the advance's
-    shared context, ``item`` this partition's files and output paths."""
+    shared context, ``item`` this partition's changefeed files, file
+    stacks and output paths. Returns None, writing nothing, when no
+    touched key is homed here."""
     from .cdc import partition_chunks
 
-    pid, touched, kernel, version = item["pid"], ctx["touched"], ctx["kernel"], ctx["version"]
+    inputs = _partition_inputs(ctx, item)
+    if inputs is None:
+        return None
+    touched, (files,) = inputs
+    pid, kernel, version = item["pid"], ctx["kernel"], ctx["version"]
     partials = []
-    for chunk in partition_chunks(item["files"][0], *ctx["sources"][0]):
+    for chunk in partition_chunks(files, *ctx["sources"][0]):
         sel = _live_rows(chunk, "conv_id", ctx["num_partitions"], pid, touched)
         if sel.num_rows:
             partials.append(kernel.partial(sel))
@@ -328,7 +352,13 @@ def rebuild_partition(ctx: dict, item: dict) -> dict:
         )
         _write_atomic(pa.concat_tables([u_t, d_t]).sort_by("conv_id"), item["delta_out"])
         delta_path = item["delta_out"]
-    return {"pid": pid, "rows": out.num_rows, "path": item["out"], "delta_path": delta_path}
+    return {
+        "pid": pid,
+        "rows": out.num_rows,
+        "path": item["out"],
+        "delta_path": delta_path,
+        "touched": -1 if touched is None else len(touched),
+    }
 
 
 class RollupKernel:
@@ -492,8 +522,11 @@ class MaintainedView:
     family is the one-source case (:class:`IncrementalRollup`), the join
     the two-source case (:class:`IncrementalJoin`); subclasses supply
     only the partition body (``_body``, a module function run once per
-    touched partition), its extra context (``_context``) and the
+    partition with new changes), its extra context (``_context``) and the
     fingerprint that guards a view directory against another view's rows.
+    An advance is one round of tasks (:func:`_run_partitions`): each body
+    finds its own touched keys (:func:`_partition_inputs`) and recomputes
+    them, so the driver never gathers the touched set.
 
     All durable state lives in the directory: a versioned manifest
     (``version``, one applied LSN per source in ``watermarks``,
@@ -678,56 +711,58 @@ class MaintainedView:
         deltas: dict[str, list[str]] = {} if full else dict(state["deltas"])
         delta_floor = version if full else int(state["delta_floor"])
 
+        fanouts = [_salt_fanout(eng.salt_map, P) for eng in self.sources]
+
+        def stack(man, pid: int) -> list[str]:
+            return list(man.partitions[pid].files) if pid in man.partitions else []
+
+        def changes(pid: int) -> list[str]:
+            """The changefeed files of ``pid`` and of its salted keys'
+            fanout pids, over every source."""
+            return list(
+                dict.fromkeys(
+                    f
+                    for by_pid, fan in zip(feeds, fanouts)
+                    for p in [pid, *(fp for _h, fps in fan.get(pid, []) for fp in fps)]
+                    for f in by_pid.get(p, [])
+                )
+            )
+
         if full:
             # a rebuild starts from scratch: carrying forward view files for
             # partitions whose lake files vanished would resurrect stale
             # rows. A salted key's HOME partition may hold no files while
             # its rows live in the fanout partitions — its task must run.
-            touched = None
             pid_set: set[int] = set()
-            for eng, man in zip(self.sources, mans):
+            for man, fan in zip(mans, fanouts):
                 pid_set |= {pid for pid, ps in man.partitions.items() if ps.files}
-                if eng.salt_map:
-                    h = stable_hash_array(np.array(list(eng.salt_map), dtype=object))
-                    pid_set |= {int(p) for p in h % np.uint64(P)}
-            touched_pids = sorted(pid_set)
+                pid_set |= set(fan)
         else:
-            # the touched keys are the UNION over every source's new delta
-            # files; _changefeed_files validates each horizon (raises past
-            # a retention floor/compaction)
-            uniq = ray.get(
-                [
-                    _touched_hashes_task.remote(f, self.key)
-                    for eng, wm in zip(self.sources, wms)
-                    for _pid, f in eng._changefeed_files(wm)
-                ]
-            )
-            touched = np.unique(np.concatenate(uniq)) if uniq else np.array([], np.uint64)
-            # view partition = UNSALTED hash(key) % P (a salted hot key's
-            # view rows live with its home partition)
-            touched_pids = sorted(int(p) for p in np.unique(touched % np.uint64(P)))
+            # each source's new changefeed files by pid; _changefeed_files
+            # validates each horizon (raises past a retention
+            # floor/compaction). A pid gets a task when its own files or,
+            # for a salted key homed there, a fanout pid's files changed
+            feeds = []
+            for eng, wm in zip(self.sources, wms):
+                by_pid: dict[int, list[str]] = {}
+                for pid, f in eng._changefeed_files(wm):
+                    by_pid.setdefault(pid, []).append(f)
+                feeds.append(by_pid)
+            pid_set = {p for by_pid in feeds for p in by_pid} | {h for fan in fanouts for h in fan}
+            pid_set = {pid for pid in pid_set if changes(pid)}
         emit = self.emit_changes and not full
-        if touched_pids and emit:
+        if pid_set and emit:
             os.makedirs(os.path.join(self.view_dir, _CHANGES_DIR), exist_ok=True)
-        elif touched_pids:
-            # changefeed continuity: a rebuild, or any advance that
-            # recomputes rows WITHOUT emitting them, breaks the delta
-            # chain — the floor moves to this version. An advance that
-            # touched nothing is an (empty) delta either way.
-            delta_floor, deltas = version, {}
-
-        extra = [
-            _salt_fanout_files(man, eng.salt_map, touched, touched_pids, P)
-            for eng, man in zip(self.sources, mans)
-        ]
         items = [
             {
                 "pid": pid,
-                # one file stack per source (plus its salted fanout files)
-                "files": [
-                    (list(man.partitions[pid].files) if pid in man.partitions else [])
-                    + ex.get(pid, [])
-                    for man, ex in zip(mans, extra)
+                "changes": None if full else changes(pid),
+                # per source: the partition's file stack, and each salted
+                # key homed here with its fanout partitions' stacks
+                "files": [stack(man, pid) for man in mans],
+                "salted": [
+                    [(h, [f for fp in fps for f in stack(man, fp)]) for h, fps in fan.get(pid, [])]
+                    for man, fan in zip(mans, fanouts)
                 ],
                 "old_file": files.get(str(pid)),
                 "out": os.path.join(
@@ -742,17 +777,22 @@ class MaintainedView:
                 if emit
                 else None,
             }
-            for pid in touched_pids
+            for pid in sorted(pid_set)
         ]
         ctx = {
             "sources": [(man.schema, eng.key_cols) for eng, man in zip(self.sources, mans)],
             "key": self.key,
             "num_partitions": P,
             "version": version,
-            "touched": touched,  # None (full) or sorted uint64 array
             **self._context(),
         }
         results = _run_partitions(self._body, ctx, items) if items else []
+        if results and not emit:
+            # changefeed continuity: a rebuild, or any advance that
+            # recomputes rows WITHOUT emitting them, breaks the delta
+            # chain — the floor moves to this version. An advance that
+            # touched nothing is an (empty) delta either way.
+            delta_floor, deltas = version, {}
 
         rows_written = _splice_results(files, results)
         new_delta_files = sorted(r["delta_path"] for r in results if r.get("delta_path"))
@@ -770,7 +810,10 @@ class MaintainedView:
             }
         )
         out = _advance_result(
-            cur, -1 if touched is None else int(len(touched)), len(touched_pids), rows_written
+            cur,
+            -1 if full else sum(int(r["touched"]) for r in results),
+            len(results),
+            rows_written,
         )
         self._metrics_append(
             {
@@ -2025,12 +2068,16 @@ def join_partition(ctx: dict, item: dict) -> dict:
     """Recompute one touched partition of an :class:`IncrementalJoin`:
     merge the dimension side once (O(keys/P) rows), join it to each
     streamed chunk of the fact side, splice in the untouched rows of the
-    previous view file and write the new file."""
+    previous view file and write the new file. Returns None, writing
+    nothing, when no touched key is homed here."""
     from .cdc import partition_chunks
 
-    pid, touched, on, P = item["pid"], ctx["touched"], ctx["key"], ctx["num_partitions"]
+    inputs = _partition_inputs(ctx, item)
+    if inputs is None:
+        return None
+    touched, (l_files, r_files) = inputs
+    pid, on, P = item["pid"], ctx["key"], ctx["num_partitions"]
     (l_schema, l_keys), (r_schema, r_keys) = ctx["sources"]
-    l_files, r_files = item["files"]
     out_schema, r_cols = ctx["out_schema"], [on] + ctx["right_cols"]
     r_live = pa.concat_tables(
         [
@@ -2060,7 +2107,12 @@ def join_partition(ctx: dict, item: dict) -> dict:
         [(c, "ascending") for c in l_keys]
     )
     _write_atomic(out, item["out"])
-    return {"pid": pid, "rows": out.num_rows, "path": item["out"]}
+    return {
+        "pid": pid,
+        "rows": out.num_rows,
+        "path": item["out"],
+        "touched": -1 if touched is None else len(touched),
+    }
 
 
 class IncrementalJoin(MaintainedView):
@@ -2086,15 +2138,16 @@ class IncrementalJoin(MaintainedView):
       ``hash(key) % P`` co-locates every key's fact rows, dimension row
       and view rows, and an advance is ONE Ray task per touched
       partition reading both sides' file stacks. No shuffle anywhere.
-    - Touched-key discovery is column-pruned and O(distinct keys) per
-      delta file; the broadcast is the sorted hash array, never rows.
+    - Touched-key discovery runs inside each partition task, over both
+      sides' changefeed files for that partition (column-pruned,
+      O(distinct keys) per file); nothing is gathered or broadcast.
     - The dimension side is merged per partition (O(keys/P) rows); the
       fact side streams through the k-way chunk merge and joins
       CHUNK-WISE against the dimension partition — valid because inner
       and left joins are row-local on the fact side — so peak memory is
       O(chunk + dim partition + output), never O(fact partition input).
     - Salted hot keys on either engine pull their fanout partitions'
-      files into the home-partition task (:func:`_salt_fanout_files`).
+      files into the home-partition task (:func:`_salt_fanout`).
 
     The join and the rollup family share one implementation: this is the
     two-source :class:`MaintainedView`, so state, commit, graced pruning,

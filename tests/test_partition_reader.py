@@ -13,12 +13,15 @@ import pathlib
 import random
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 import etl_framework_ray
+from etl_framework_ray.pipelines import cdc
 from etl_framework_ray.pipelines.cdc import CDCEngine
 from etl_framework_ray.sources.changelog import ChangeLog
-from etl_framework_ray.state.schema import ColumnSpec, TableSpec
+from etl_framework_ray.stages.lww import lww_reduce
+from etl_framework_ray.state.schema import ColumnSpec, TableSpec, normalize_table
 
 PKG = pathlib.Path(etl_framework_ray.__file__).parent
 
@@ -89,6 +92,42 @@ def test_keyed_reads_and_data_writes_have_one_implementation():
         ("pipelines/cdc.py", "_write_data_file"),
         ("pipelines/cdc.py", "_dq_gate_changes"),
     }
+
+
+def test_small_stack_reads_as_one_chunk(tmp_path):
+    """A stack that fits one chunk (footer rows plus ``extra_sorted``)
+    takes the whole-partition merge and yields one chunk; one row less
+    of budget streams it. Both equal the whole-partition merge."""
+    from test_streamed_merge import KEYS as KEYS2
+    from test_streamed_merge import LAKE, _synth_partition
+
+    files = _synth_partition(tmp_path)
+    stack = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    extra = normalize_table(
+        pa.table(
+            {
+                "conv_id": ["conv-0002"] * 30 + ["conv-0099"] * 5,
+                "turn_idx": pa.array(list(range(30)) + list(range(5)), pa.int32()),
+                "text": [f"new{i}" for i in range(35)],
+                "ts": pa.array([10**13] * 35, pa.timestamp("us")),
+                "_lsn": pa.array(range(10**6, 10**6 + 35), pa.int64()),
+                "_deleted": [i % 7 == 0 for i in range(35)],
+            }
+        ),
+        LAKE,
+    )
+    full = cdc.merge_partition_files(files, LAKE, KEYS2)
+    for ex, want in (
+        (None, full),
+        (extra, lww_reduce(pa.concat_tables([full, extra]), KEYS2, ("ts", "_lsn"))),
+    ):
+        rows = stack + (ex.num_rows if ex is not None else 0)
+        one = list(cdc.partition_chunks(files, LAKE, KEYS2, extra_sorted=ex, chunk_rows=rows))
+        assert len(one) == 1 and one[0].equals(want)
+        many = list(
+            cdc.partition_chunks(files, LAKE, KEYS2, extra_sorted=ex, chunk_rows=rows - 1)
+        )
+        assert len(many) > 1 and pa.concat_tables(many).equals(want)
 
 
 KEYS = ("conv_id", "turn_idx", "channel")
