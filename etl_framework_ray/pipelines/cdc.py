@@ -642,27 +642,76 @@ def partition_chunks(
         yield t
 
 
+#: largest output block of a partition read (beside ``chunk_rows``, the
+#: rows a merged chunk holds), declared on the read's own Dataset
+#: context: Ray Data slices any output block past 1.5× it, so it holds
+#: whatever a chunk weighs. Ray Data prices a running task with no output
+#: yet at two blocks of this size (its streaming-generator buffer).
+#: Budget: Ray Data's object-store share is half the store (500 MB of
+#: 1 GB); half of that is reserved evenly over the plan's operators, with
+#: half of each reservation kept for the operator's outputs, and the rest
+#: is shared. For a read plus one consumer operator the read's task
+#: budget is ~62 MB reserved + ~125 MB shared: one 268 MB task at the
+#: 128 MiB default (the tasks ran one at a time), two 67 MB tasks at
+#: 32 MiB (one per CPU of a 2-CPU node).
+READ_BLOCK_BYTES = 32 << 20
+
+
+def _item_bytes(item: dict) -> int:
+    """Bytes of the files a read item lists (every list value holds
+    paths); a file that is gone weighs 0 here and fails loud in its task."""
+    total = 0
+    for v in item.values():
+        if isinstance(v, list):
+            for f in v:
+                try:
+                    total += os.path.getsize(f)
+                except OSError:
+                    pass
+    return total
+
+
 def _partition_dataset(parts: list[dict], per_part, empty: pa.Table) -> "ray.data.Dataset":
-    """The per-partition read driver: one Ray Data task per partition
-    item, running ``per_part(item)`` (a generator of Arrow tables) inside
-    the task so nothing lands on the driver. Empty outputs are dropped;
-    a read with no partitions, or whose partitions yield nothing, still
-    carries ``empty``'s schema."""
+    """The per-partition read driver: runs ``per_part(item)`` (a generator
+    of Arrow tables) for every partition item inside Ray Data tasks, so
+    nothing lands on the driver. Empty outputs are dropped; a read with no
+    partitions, or whose partitions yield nothing, still carries
+    ``empty``'s schema.
+
+    The items are packed onto ``min(len(parts), cluster CPUs)`` tasks by
+    :func:`_pack_partitions` (the reduce's packer), loaded by the bytes of
+    the files each item lists, so every pool slot is busy: one short task
+    per partition left Ray Data admitting about one task at a time. A
+    task streams its items one after the other, so its memory stays one
+    partition's chunk stream, and each partition's rows keep their key
+    order (Ray Data never promised an order across blocks). The Dataset's
+    own context declares :data:`READ_BLOCK_BYTES`, so Ray Data's memory
+    backpressure (left on) budgets one task per CPU; the global
+    ``DataContext`` is not touched."""
+    import numpy as np
+
     if not parts:
         return ray.data.from_arrow(empty)
+    # +1: an item that lists no bytes still gets a task
+    loads = np.array([1 + _item_bytes(item) for item in parts], dtype=np.int64)
+    groups = _pack_partitions(loads, int(ray.cluster_resources().get("CPU", 1)))
 
     def resolve(batch: pa.Table):
         _single_threaded_arrow()
         yielded = False
-        for item in batch.to_pylist():
-            for t in per_part(item):
+        for i in batch.column("group")[0].as_py():
+            for t in per_part(parts[i]):
                 if t.num_rows:
                     yielded = True
                     yield t
         if not yielded:
             yield empty
 
-    return ray.data.from_items(parts).map_batches(resolve, batch_format="pyarrow", batch_size=1)
+    ds = ray.data.from_items([{"group": g} for g in groups]).map_batches(
+        resolve, batch_format="pyarrow", batch_size=1
+    )
+    ds.context.target_max_block_size = READ_BLOCK_BYTES
+    return ds
 
 
 def _write_merged_stream(
@@ -871,10 +920,12 @@ def _prep_segment_task(
 
 
 def _pack_partitions(loads, max_tasks: int) -> list[list[int]]:
-    """Group the touched partitions (``loads[p] > 0`` rows) into at most
-    ``max_tasks`` reduce tasks: largest load first onto the least-loaded
-    task, so reduce work is sized by measured load, not by partition count
-    (FP-Hadoop, VLDB 2015). Deterministic: equal loads go in pid order."""
+    """THE task packer: group the indices with ``loads[i] > 0`` into at
+    most ``max_tasks`` tasks, largest load first onto the least-loaded
+    task, so work is sized by measured load, not by partition count
+    (FP-Hadoop, VLDB 2015). The reduce packs touched partitions by rows;
+    :func:`_partition_dataset` packs read items by file bytes.
+    Deterministic: equal loads go in index order; each group is sorted."""
     import heapq
 
     import numpy as np
@@ -1791,11 +1842,14 @@ class CDCEngine:
         The projected schema is the RESOLVED version's (a snapshot taken
         before a schema evolution has the old columns).
 
-        Merge-on-read: each task resolves ONE hash partition — reads its
-        manifest-listed base+delta files, LWW-reduces, drops tombstones,
-        projects public columns. Rows are key-sorted WITHIN a partition
-        (stable turn ordering is partition-local; ``publish_snapshot``
-        preserves it per partition directory).
+        Merge-on-read: each hash partition is resolved inside a task —
+        its manifest-listed base+delta files are read, LWW-reduced,
+        stripped of tombstones and projected to public columns. Partitions
+        are packed onto at most one task per CPU (:func:`_partition_dataset`),
+        and a task resolves its partitions one at a time. Rows are
+        key-sorted WITHIN a partition (stable turn ordering is
+        partition-local; ``publish_snapshot`` preserves it per partition
+        directory); no order holds across partitions.
 
         ``pids`` prunes the read to the given hash partitions — the
         partition-pushdown path for consumers that know the routing
@@ -2626,8 +2680,9 @@ class CDCEngine:
           columns only, payload NULL).
 
         Unlike :meth:`changefeed` this needs no retained deltas — it
-        compares the two manifests' merge-on-read stacks directly, one
-        task per partition (nothing lands on the driver), so it works
+        compares the two manifests' merge-on-read stacks directly, per
+        partition inside packed read tasks (nothing lands on the driver,
+        :func:`_partition_dataset`), so it works
         across any gap as long as ``vacuum`` has not reclaimed the older
         version's files (fails loud if it has). Both versions must share
         the partition layout (no reshard/salt change in between — fail
@@ -2827,9 +2882,10 @@ class CDCEngine:
         with epoch > watermark), LWW-reduced per key, tombstones INCLUDED
         (``_deleted`` marks downstream deletes).
 
-        One task per partition merges that partition's qualifying delta
-        stack (the same streamed k-way chunk merge as :meth:`snapshot`,
-        peak memory O(chunk × files)), so a consumer lagging N epochs on a
+        Each partition's qualifying delta stack is merged inside a packed
+        read task (:func:`_partition_dataset`; the same streamed k-way
+        chunk merge as :meth:`snapshot`, peak memory O(chunk × files)), so
+        a consumer lagging N epochs on a
         100-TB table never lands O(changes) on the driver. Keys are unique
         within a partition's output; a key whose partition changed inside
         the window (salt migration) can surface once per routing era —

@@ -2,7 +2,7 @@
 
 ``ChangefeedConsumer`` exports the net changes of a ``CDCEngine`` table to
 a sink directory in exactly-once WINDOWS: each ``poll()`` streams
-``engine.changefeed(since_lsn=watermark)`` (one merge task per partition,
+``engine.changefeed(since_lsn=watermark)`` (packed per-partition merge tasks,
 nothing on the driver) into a window directory named by its LSN range,
 then atomically commits the directory AND the advanced watermark. A crash
 anywhere before the commit leaves the previous watermark in place; the

@@ -213,8 +213,9 @@ class HistoryTable:
         _post_names: list[str] | None = None,
     ) -> "ray.data.Dataset":
         """The interval-form history as a streaming Dataset — one merge +
-        lead-pass task per hash partition (versions of a key co-locate,
-        so the pass never shuffles). ``as_of_ts`` keeps only the versions
+        lead pass per hash partition, inside the packed read tasks of
+        ``cdc._partition_dataset`` (versions of a key co-locate, so the
+        pass never shuffles). ``as_of_ts`` keeps only the versions
         visible at that event time; ``current_only`` keeps open non-delete
         versions (the live table, in history clothing).
 

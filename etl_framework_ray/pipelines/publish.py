@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 
 from ..context import RunContext
@@ -52,17 +53,23 @@ def publish_snapshot(
     crash skips completed partitions and only exports the missing ones.
     Runs the DQ gate first when ``gate_spec`` carries rules — errors abort
     before any file is written. Returns the number of partitions exported
-    this run (0 on a fully-complete rerun)."""
+    this run (0 on a fully-complete rerun).
+
+    Partitions are read by the engine's one read driver
+    (``cdc._partition_dataset``, load-packed tasks) and merged by
+    ``cdc.partition_chunks``; each merged chunk streams into the
+    partition's one parquet writer, so a task holds one chunk stream, not
+    a whole partition."""
     if gate_spec is not None:
         gate = DQGate(gate_spec, os.path.join(engine.table_dir, "_metrics", "dq"), run_context)
         gate.check(engine.snapshot())
 
-    from .cdc import merge_partition_files
+    from .cdc import _partition_dataset, partition_chunks
 
     man = engine.manifest
     lake = man.schema
     key_cols = engine.key_cols
-    public_names = [f.name for f in lake if f.name not in ("_lsn", "_deleted")]
+    public = pa.schema([f for f in lake if f.name not in ("_lsn", "_deleted")])
     todo = []
     for pid in sorted(man.partitions):
         files = man.partitions[pid].files
@@ -71,30 +78,22 @@ def publish_snapshot(
             todo.append({"pid": pid, "files": files, "part_dir": part_dir})
     if not todo:
         return 0
+    done = pa.schema([pa.field("pid", pa.int64())])
 
-    def export_partition(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq_mod
+    def export_partition(item: dict):
+        os.makedirs(item["part_dir"], exist_ok=True)
+        path = os.path.join(item["part_dir"], "data.parquet")
+        tmp = f"{path}.tmp-{os.getpid()}"
+        with pq.ParquetWriter(tmp, public) as writer:
+            for chunk in partition_chunks(item["files"], lake, key_cols):
+                chunk = chunk.filter(pc.invert(chunk.column("_deleted"))).select(public.names)
+                writer.write_table(chunk)
+        os.replace(tmp, path)
+        with open(os.path.join(item["part_dir"], "_SUCCESS"), "w") as f:
+            f.write("ok")
+        yield pa.table({"pid": [item["pid"]]}, schema=done)
 
-        from .cdc import _single_threaded_arrow
-
-        _single_threaded_arrow()
-        done = []
-        for row in batch.to_pylist():
-            t = merge_partition_files(list(row["files"]), lake, key_cols)
-            t = t.filter(pc.invert(t.column("_deleted"))).select(public_names)
-            os.makedirs(row["part_dir"], exist_ok=True)
-            path = os.path.join(row["part_dir"], "data.parquet")
-            tmp = f"{path}.tmp-{os.getpid()}"
-            pq_mod.write_table(t, tmp)
-            os.replace(tmp, path)
-            with open(os.path.join(row["part_dir"], "_SUCCESS"), "w") as f:
-                f.write("ok")
-            done.append({"pid": row["pid"], "rows": t.num_rows})
-        return pa.Table.from_pylist(done)
-
-    ray.data.from_items(todo).map_batches(
-        export_partition, batch_format="pyarrow", batch_size=1
-    ).count()
+    _partition_dataset(todo, export_partition, done.empty_table()).count()
     return len(todo)
 
 

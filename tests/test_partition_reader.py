@@ -5,6 +5,8 @@ one per-partition Dataset driver (``_partition_dataset``).
 The structural guard keeps the reader from forking again; the 3-column
 PK table drives the whole-partition branch of the dispatch (wider PKs
 never stream) through every reader and checks each against its oracle.
+The driver tests pin how ``_partition_dataset`` packs partitions onto
+at most one Ray Data task per CPU and the block bound it declares.
 """
 
 import ast
@@ -15,6 +17,7 @@ import random
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 import etl_framework_ray
 from etl_framework_ray.pipelines import cdc
@@ -65,9 +68,11 @@ def test_partition_read_has_one_implementation():
     reader = {("pipelines/cdc.py", "partition_chunks")}
     assert _callers("_is_cdc_sorted") == reader
     assert _callers("iter_merged_partition") == reader
-    assert _callers("from_items") == {
+    assert _callers("from_items") == {("pipelines/cdc.py", "_partition_dataset")}
+    # one packer for the reduce and the reads
+    assert _callers("_pack_partitions") == {
+        ("pipelines/cdc.py", "apply_epoch"),
         ("pipelines/cdc.py", "_partition_dataset"),
-        ("pipelines/publish.py", "publish_snapshot"),
     }
 
 
@@ -232,3 +237,130 @@ def test_three_column_pk_readers_match_oracles(tmp_path):
     assert all(len(ps.files) == 1 for ps in eng.manifest.partitions.values() if ps.files)
     assert eng.snapshot_arrow().to_pylist() == exp
     assert _by_key(eng.snapshot().take_all()) == _by_key(exp)
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize(
+    "sizes, want",
+    [
+        # fewer items than CPUs: one task each
+        ((300, 100), [{0}, {1}]),
+        # as many items as CPUs
+        ((100, 900, 500, 300), [{0}, {1}, {2}, {3}]),
+        # more items than CPUs, LPT by bytes (+1 each): 901, 701, 501 and
+        # 301 open four tasks, 201 joins the 301, 101 joins the 501
+        ((100, 900, 500, 300, 700, 200), [{0, 2}, {1}, {3, 5}, {4}]),
+    ],
+)
+def test_reads_pack_partitions_onto_one_task_per_cpu(tmp_path, sizes, want):
+    assert int(ray.cluster_resources()["CPU"]) == 4
+    parts = []
+    for pid, n in enumerate(sizes):
+        path = tmp_path / f"f{pid}"
+        path.write_bytes(b"x" * n)
+        parts.append({"pid": pid, "files": [str(path)]})
+
+    def per_part(item):
+        task = ray.get_runtime_context().get_task_id()
+        yield pa.table({"pid": [item["pid"]], "task": [task]})
+
+    empty = pa.schema([("pid", pa.int64()), ("task", pa.string())]).empty_table()
+    rows = cdc._partition_dataset(parts, per_part, empty).take_all()
+    groups: dict[str, set] = {}
+    for r in rows:
+        groups.setdefault(r["task"], set()).add(r["pid"])
+    assert len(rows) == len(sizes)
+    assert sorted(groups.values(), key=min) == want
+
+
+def _pid_log(eng: CDCEngine, n: int = 600) -> tuple[pa.Table, int]:
+    """``_three_key_log`` plus a last run of deletes of every live key in
+    partition 0, so that partition's stack reads as tombstones only.
+    Returns the log and the LSN of its last event before the deletes."""
+    log = _three_key_log(n)
+    convs = sorted(set(log.column("conv_id").to_pylist()))
+    doomed = set(eng._key_partitions(convs)[0])
+    live = {k: r for k, r in _by_key(log.to_pylist()).items() if r["op"] != "D"}
+    t_end = log.column("ts")[-1].as_py()
+    dels = [
+        {**r, "lsn": n + 1 + i, "op": "D", "text": None, "ts": t_end + dt.timedelta(seconds=1 + i)}
+        for i, r in enumerate(r for k, r in sorted(live.items()) if k[0] in doomed)
+    ]
+    assert dels
+    return pa.concat_tables([log, pa.Table.from_pylist(dels, schema=log.schema)]), n
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("num_partitions", [2, 4, 8])  # P < CPUs, P = CPUs, P > CPUs
+def test_packed_reads_match_arrow(tmp_path, num_partitions):
+    eng = CDCEngine(
+        str(tmp_path / "t"),
+        spec=SPEC3,
+        num_partitions=num_partitions,
+        compact_every=3,
+        changefeed_retention_lsn=10**9,
+    )
+    log, n = _pid_log(eng)
+    clog = ChangeLog(str(tmp_path / "log"))
+    clog.write_segments(log, segment_rows=100)
+    eng.replay(clog, segments_per_epoch=1, vacuum=False)
+    man = eng.manifest
+    mid = eng.store.load(4)
+
+    # partition 0 lists files whose rows are all tombstones: its item
+    # yields nothing, the other partitions still read
+    exp = eng.snapshot_arrow()
+    doomed = set(eng._key_partitions(sorted(set(log.column("conv_id").to_pylist())))[0])
+    assert man.partitions[0].files
+    assert not doomed & set(exp.column("conv_id").to_pylist())
+    refs = eng.snapshot().to_arrow_refs()
+    blocks = [b for b in ray.get(refs) if b.num_rows]
+    got = pa.concat_tables(blocks).to_pylist()
+    assert len(got) == exp.num_rows and _by_key(got) == _by_key(exp.to_pylist())
+    # each partition's rows keep their key order
+    pid_of = {c: p for p, cs in eng._key_partitions(sorted({r["conv_id"] for r in got})).items() for c in cs}
+    for pid in range(num_partitions):
+        keys = [tuple(r[k] for k in KEYS) for r in got if pid_of[r["conv_id"]] == pid]
+        assert keys == sorted(keys)
+
+    # changefeed(w) == read_changes(w), tombstones included
+    w = int(mid.applied_lsn)
+    feed = eng.changefeed(since_lsn=w).take_all()
+    oracle = eng.read_changes(w).to_pylist()
+    assert len(feed) == len(oracle) and _by_key(feed) == _by_key(oracle)
+
+    # diff(mid) == compare of the two snapshot_arrow versions
+    old = _by_key(eng.snapshot_arrow(version=mid.version).to_pylist())
+    new = _by_key(exp.to_pylist())
+    want = {k: ("I", r) for k, r in new.items() if k not in old}
+    want.update({k: ("U", r) for k, r in new.items() if k in old and old[k] != r})
+    want.update({k: ("D", None) for k in old if k not in new})
+    got = eng.diff(mid.version).take_all()
+    assert len(got) == len(want)
+    for r in got:
+        op, row = want[tuple(r[k] for k in KEYS)]
+        assert r["diff_op"] == op
+        if op != "D":
+            assert {c: r[c] for c in row} == row
+    # a version against itself: every item yields nothing, schema kept
+    same = eng.diff(man.version)
+    assert same.count() == 0 and "diff_op" in same.schema().names
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_read_block_bound_is_on_the_dataset_context(tmp_path):
+    from ray.data import DataContext
+
+    eng = CDCEngine(str(tmp_path / "t"), spec=SPEC3, num_partitions=4)
+    clog = ChangeLog(str(tmp_path / "log"))
+    clog.write_segments(_three_key_log(200), segment_rows=100)
+    eng.replay(clog)
+    glob_ctx = DataContext.get_current()
+    before = dict(vars(glob_ctx))
+    ds = eng.snapshot()
+    assert ds.count() == eng.snapshot_arrow().num_rows
+    assert dict(vars(glob_ctx)) == before
+    assert ds.context is not glob_ctx
+    assert ds.context.target_max_block_size == cdc.READ_BLOCK_BYTES
+    assert glob_ctx.target_max_block_size != cdc.READ_BLOCK_BYTES
+    assert ds.context.op_resource_reservation_enabled is True

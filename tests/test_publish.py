@@ -3,6 +3,7 @@ invariant (SURVEY.md §2.4 J1, §2.5 A4, §3.1 gold stage)."""
 
 import glob
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -39,6 +40,10 @@ def test_publish_snapshot_partitioned_and_resumable(engine):
     assert len(files) == exported
     total = sum(pq.read_metadata(f).num_rows for f in files)
     assert total == len(oracle_replay(log))
+    snap = eng.snapshot_arrow()
+    published = pa.concat_tables([pq.ParquetFile(f).read() for f in files])
+    keys = [("conv_id", "ascending"), ("turn_idx", "ascending")]
+    assert published.sort_by(keys).to_pylist() == snap.to_pylist()
 
     # complete rerun: nothing re-exported
     assert publish_snapshot(eng, out) == 0
