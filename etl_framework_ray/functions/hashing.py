@@ -14,17 +14,54 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+
+
+def _hash_objects(np_arr: np.ndarray) -> np.ndarray:
+    return pd.util.hash_array(np_arr.astype(object), categorize=False)
+
+
+def is_binary_like(t: pa.DataType) -> bool:
+    """True for the string and binary types (both offset widths)."""
+    return (
+        pa.types.is_string(t)
+        or pa.types.is_large_string(t)
+        or pa.types.is_binary(t)
+        or pa.types.is_large_binary(t)
+    )
+
+
+#: the hash of a NULL string: ``to_pandas`` makes it ``None``
+_NULL_HASH = _hash_objects(np.array([None], dtype=object))[0]
+
+
+def _hash_distinct(arr: pa.Array) -> np.ndarray:
+    """Hash each distinct value of a string/binary array (or of a
+    dictionary array of them) once, then gather per row. A NULL row gets
+    the hash of ``None``, the value a NULL string takes in the per-row
+    path; a dictionary array hashes as its decoded values."""
+    d = arr if pa.types.is_dictionary(arr.type) else pc.dictionary_encode(arr)
+    h = np.append(_hash_objects(d.dictionary.to_numpy(zero_copy_only=False)), _NULL_HASH)
+    idx = d.indices.fill_null(len(d.dictionary)) if d.indices.null_count else d.indices
+    return h[idx.to_numpy(zero_copy_only=False)]
 
 
 def stable_hash_array(arr: pa.Array | pa.ChunkedArray | np.ndarray) -> np.ndarray:
-    """uint64 SipHash per element; deterministic across processes."""
+    """uint64 SipHash per element; deterministic across processes.
+
+    String and binary arrays, and dictionary arrays of them, hash each
+    distinct value once (:func:`_hash_distinct`): a key column repeats
+    its values, and routing ids must stay bit-identical to hashing every
+    row, since every stored partition depends on them."""
     if isinstance(arr, (pa.Array, pa.ChunkedArray)):
-        np_arr = arr.to_pandas().to_numpy()
-    else:
-        np_arr = arr
-    if np_arr.dtype == object or np_arr.dtype.kind in ("U", "S"):
-        return pd.util.hash_array(np_arr.astype(object), categorize=False)
-    return pd.util.hash_array(np_arr, categorize=False)
+        t = arr.type
+        if is_binary_like(t) or (pa.types.is_dictionary(t) and is_binary_like(t.value_type)):
+            chunks = arr.chunks if isinstance(arr, pa.ChunkedArray) else [arr]
+            return np.concatenate([np.empty(0, np.uint64), *map(_hash_distinct, chunks)])
+        arr = arr.to_pandas().to_numpy()
+    if arr.dtype == object or arr.dtype.kind in ("U", "S"):
+        return _hash_objects(arr)
+    return pd.util.hash_array(arr, categorize=False)
 
 
 def partition_ids(

@@ -54,9 +54,14 @@ import pyarrow.parquet as pq
 import ray
 
 from ..context import DEFAULT_NUM_PARTITIONS, RunContext
-from ..functions.hashing import salted_partition_ids, stable_hash_array
+from ..functions.hashing import is_binary_like, salted_partition_ids, stable_hash_array
 from ..sources.changelog import ChangeLog, Epoch
-from ..stages.lww import last_per_key_mask, lww_reduce, lww_survivor_indices
+from ..stages.lww import (
+    distinct_key_count,
+    last_per_key_mask,
+    lww_reduce,
+    lww_survivor_indices,
+)
 from ..state.manifest import (
     CommitConflict,
     Manifest,
@@ -112,6 +117,36 @@ _ENVELOPE = ("lsn", "op")
 #: rows a key probe decodes per group; much smaller groups slow full-file
 #: reads (1024 rows measured +58%), so keep it at 2048 or above.
 ROW_GROUP_ROWS = 4096
+
+#: the map combiner runs only when it keeps at most this share of a
+#: segment's rows (its distinct key tuples, counted before any sort);
+#: above it the survivor pass costs its sort and barely shrinks the
+#: exchange, and the per-partition reduce performs the dedup anyway
+COMBINER_KEEP_MAX = 0.9
+
+
+def lake_parquet_args(schema: pa.Schema) -> dict:
+    """THE Parquet arguments of every lake data-file write
+    (:func:`_write_data_file`, :func:`_write_merged_stream` and
+    ``LakeWriter._stage_files``): row groups of at most
+    :data:`ROW_GROUP_ROWS` rows, and dictionary pages only where they pay.
+    ``string``, ``binary`` and ``bool`` columns (ids, roles, tool names,
+    flags) repeat, so they are dictionary-encoded; ``large_string`` /
+    ``large_binary`` payload, integer and timestamp columns (text,
+    ``ts``, ``_lsn``) are nearly unique, so they are written plain — a
+    dictionary built for them outgrows its page limit and is thrown away
+    after costing its build. Readers decode either encoding, so files
+    written before this rule stack, read and compact with newer ones."""
+    return {
+        "row_group_size": ROW_GROUP_ROWS,
+        "use_dictionary": [
+            f.name
+            for f in schema
+            if pa.types.is_string(f.type)
+            or pa.types.is_binary(f.type)
+            or pa.types.is_boolean(f.type)
+        ],
+    }
 
 #: CDC data-file naming — THE single pattern (stack checks, changefeed
 #: listing, retention, purge routing and fsck all match against it).
@@ -204,15 +239,19 @@ def merge_partition_files(
     lake_sch: pa.Schema,
     key_cols: tuple[str, ...],
     conjuncts=None,
+    extra: pa.Table | None = None,
 ) -> pa.Table:
     """Merge-on-read of one partition: concat its base+delta files (oldest
-    first; paths or opened files), LWW-reduce on the key. Output is
-    key-sorted and still carries tombstones + bookkeeping columns.
-    ``conjuncts`` skip row groups by footer stats (PK-only under merge —
-    see _iter_file_chunks)."""
-    if not files:
-        return lake_sch.empty_table()
+    first; paths or opened files) and ``extra`` (in-memory rows folded in
+    last, e.g. an epoch's changes), LWW-reduce on the key in ONE pass.
+    Output is key-sorted and still carries tombstones + bookkeeping
+    columns. ``conjuncts`` skip row groups by footer stats (PK-only under
+    merge — see _iter_file_chunks)."""
     tables = [_read_pruned(f, lake_sch, conjuncts) for f in files]
+    if extra is not None and extra.num_rows:
+        tables.append(normalize_table(extra, lake_sch))
+    if not tables:
+        return lake_sch.empty_table()
     t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
     if not key_cols:
         return t  # PK-less (append-only) table: plain concat, no reduce
@@ -309,11 +348,11 @@ def _pair_codes(t: pa.Table, key_cols: tuple[str, ...]) -> pa.ChunkedArray | pa.
 
 
 def _write_data_file(t: pa.Table, path: str) -> None:
-    """THE lake data-file write: row groups of at most ``ROW_GROUP_ROWS``,
-    staged to a pid-unique tmp and atomically renamed — a retry rewrites
-    the same deterministic content to the same path."""
+    """THE lake data-file write, with :func:`lake_parquet_args`: staged
+    to a pid-unique tmp and atomically renamed — a retry rewrites the
+    same deterministic content to the same path."""
     tmp = f"{path}.tmp-{os.getpid()}"
-    pq.write_table(t, tmp, row_group_size=ROW_GROUP_ROWS)
+    pq.write_table(t, tmp, **lake_parquet_args(t.schema))
     os.replace(tmp, path)
 
 
@@ -618,10 +657,12 @@ def partition_chunks(
     most ``chunk_rows`` takes the whole-partition
     :func:`merge_partition_files` and yields one chunk: it holds no more
     than one streamed chunk would, and skips the per-round alignment
-    cost. Above that, engine-written stacks (``_is_cdc_sorted``) of a
-    ≤2-column PK stream through :func:`iter_merged_partition`, so peak
-    memory is O(min(stack, chunk × files)); writer-staged (unsorted)
-    files and wider PKs always take the whole-partition merge. Each
+    cost. ``extra_sorted`` joins that merge's concat, so the stack and
+    the changes are sorted and gathered once, by one LWW pass. Above
+    that, engine-written stacks (``_is_cdc_sorted``) of a ≤2-column PK
+    stream through :func:`iter_merged_partition`, so peak memory is
+    O(min(stack, chunk × files)); writer-staged (unsorted) files and
+    wider PKs always take the whole-partition merge. Each
     footer is opened once. ``conjuncts`` skip row groups by footer stats
     (PK conjuncts under merge, any conjunct on a PK-less table)."""
     files = list(files)
@@ -634,10 +675,7 @@ def partition_chunks(
             pfs, lake_sch, key_cols, extra_sorted, chunk_rows, conjuncts
         )
         return
-    t = merge_partition_files(pfs, lake_sch, key_cols, conjuncts)
-    if extra_sorted is not None and extra_sorted.num_rows:
-        t = pa.concat_tables([t, normalize_table(extra_sorted, lake_sch)])
-        t = lww_reduce(t, key_cols, _lww_order(lake_sch, LSN_COL))
+    t = merge_partition_files(pfs, lake_sch, key_cols, conjuncts, extra=extra_sorted)
     if t.num_rows:
         yield t
 
@@ -724,15 +762,17 @@ def _write_merged_stream(
     ttl: int | None = None,
 ) -> tuple[int, int, dict]:
     """Stream the partition merge (:func:`partition_chunks`) to
-    ``tmp_path`` — each merged chunk written as row groups of at most
-    ``ROW_GROUP_ROWS`` rows, so compaction peak memory is O(chunk ×
-    files), not O(partition). Applies the tombstone-TTL filter
-    chunk-locally. Returns ``(rows_written,
-    tombstones, zone_stats)`` — zone-map column stats accumulated
-    chunk-wise over exactly what was written."""
+    ``tmp_path`` with :func:`lake_parquet_args` — each merged chunk
+    written as row groups of at most ``ROW_GROUP_ROWS`` rows, so
+    compaction peak memory is O(chunk × files), not O(partition).
+    Applies the tombstone-TTL filter chunk-locally. Returns
+    ``(rows_written, tombstones, zone_stats)`` — zone-map column stats
+    accumulated chunk-wise over exactly what was written."""
     writer = None
     rows = tomb = 0
     zcols = _zone_cols(lake_sch)
+    args = lake_parquet_args(lake_sch)
+    row_group_size = args.pop("row_group_size")
     stats: dict | None = None
     try:
         for chunk in partition_chunks(files, lake_sch, key_cols, extra_sorted):
@@ -744,13 +784,13 @@ def _write_merged_stream(
                 )
                 chunk = chunk.filter(pc.invert(expired))
             if writer is None:
-                writer = pq.ParquetWriter(tmp_path, chunk.schema)
-            writer.write_table(chunk, row_group_size=ROW_GROUP_ROWS)
+                writer = pq.ParquetWriter(tmp_path, chunk.schema, **args)
+            writer.write_table(chunk, row_group_size=row_group_size)
             rows += chunk.num_rows
             tomb += pc.sum(chunk.column(DELETED_COL)).as_py() or 0
             stats = zone.merge_stats(stats, zone.table_stats(chunk, zcols))
         if writer is None:  # empty partition still needs a valid file
-            writer = pq.ParquetWriter(tmp_path, lake_sch)
+            writer = pq.ParquetWriter(tmp_path, lake_sch, **args)
     finally:
         if writer is not None:
             writer.close()
@@ -857,9 +897,17 @@ def _prep_segment_task(
     composed with the survivor indices, and a single fused ``take``
     produces the pid-grouped table (two separate gathers measured ~2×
     this stage's wall at 8-way concurrency — gathers of wide strings are
-    the memory-bandwidth hot spot). The combiner only reorders-by-key when
-    it actually shrinks the batch (hot logs); otherwise rows route in
-    arrival order and the per-partition reduce performs the dedup.
+    the memory-bandwidth hot spot).
+
+    The combiner runs only when it pays: the leading key is
+    dictionary-encoded once, :func:`distinct_key_count` counts the
+    segment's distinct key tuples exactly from those codes (no sort), and
+    the survivor pass (:func:`lww_survivor_indices`, sorting the same
+    codes) runs only when that count is at most :data:`COMBINER_KEEP_MAX`
+    of the rows (hot logs). Otherwise rows route in arrival order and the
+    per-partition reduce performs the dedup. The decision is per segment
+    and stateless. Routing hashes the encoded key's dictionary, so each
+    distinct key is hashed once (ids bit-identical to hashing every row).
     """
     import numpy as np
 
@@ -885,36 +933,46 @@ def _prep_segment_task(
             rc,
         )
 
-    surv = lww_survivor_indices(t, key_cols, _lww_order(chg_schema, "lsn"))
-    if _has_patches(t):
-        # partial images (op="P") make the per-key fold non-associative
-        # across segments (another segment's patch may interleave between
-        # this segment's base and patches) — so PATCH KEYS route all their
-        # rows unreduced while every other key still combines (a trickle
-        # of patches must not disable the hot-key combiner for a whole
-        # 500k-row segment); the per-partition reduce performs the exact
-        # patch-aware fold
-        member = pc.is_in(
-            _pair_codes(t, key_cols),
-            value_set=pc.unique(
-                pc.filter(_pair_codes(t, key_cols), pc.equal(t.column("op"), "P"))
-            ),
-        ).to_numpy(zero_copy_only=False)
-        surv = np.union1d(
-            surv[~member[surv]].astype(np.int64), np.flatnonzero(member)
-        )
-    if len(surv) > 0.9 * t.num_rows:
-        surv = np.arange(t.num_rows, dtype=np.int64)  # combiner wouldn't pay
+    # the leading key, dictionary-encoded ONCE: its indices count the
+    # distinct key tuples, its ranked dictionary codes the combiner's
+    # sort, and routing hashes each distinct value once
+    n = t.num_rows
+    order_cols = _lww_order(chg_schema, "lsn")
+    narrow = t.select([*key_cols, *order_cols])
+    k0 = narrow.column(0).combine_chunks()
+    if is_binary_like(k0.type):
+        narrow = narrow.set_column(0, key_cols[0], pc.dictionary_encode(k0))
+    surv = None
+    if distinct_key_count(narrow, key_cols) <= COMBINER_KEEP_MAX * n:
+        surv = lww_survivor_indices(narrow, key_cols, order_cols)
+        if _has_patches(t):
+            # partial images (op="P") make the per-key fold non-associative
+            # across segments (another segment's patch may interleave
+            # between this segment's base and patches) — so PATCH KEYS
+            # route all their rows unreduced while every other key still
+            # combines (a trickle of patches must not disable the hot-key
+            # combiner for a whole 500k-row segment); the per-partition
+            # reduce performs the exact patch-aware fold
+            codes = _pair_codes(t, key_cols)
+            member = pc.is_in(
+                codes, value_set=pc.unique(pc.filter(codes, pc.equal(t.column("op"), "P")))
+            ).to_numpy(zero_copy_only=False)
+            surv = np.union1d(surv[~member[surv]].astype(np.int64), np.flatnonzero(member))
+        if len(surv) > COMBINER_KEEP_MAX * n:
+            surv = None
+    rows = np.arange(n, dtype=np.int64) if surv is None else surv
 
     # partition on the FIRST primary-key column only: all turns of a
     # conversation (all rows of an entity) co-locate, which is what makes
     # per-key LWW and stable ordering partition-local (SURVEY.md §4.2).
     # Keys flagged in the manifest's salt_map fan out by the second key
     # column (full PK still single-partition — skew mitigation, §7.4).
-    keys_t = t.select(list(key_cols[: 2 if len(key_cols) > 1 else 1])).take(pa.array(surv))
+    keys_t = narrow.select(list(key_cols[:2]))
+    if surv is not None:
+        keys_t = keys_t.take(pa.array(surv))
     pid_surv = salted_partition_ids(keys_t, key_cols, num_partitions, salt_map)
     order = np.argsort(pid_surv, kind="stable")
-    t = t.take(pa.array(surv[order]))  # the single wide gather
+    t = t.take(pa.array(rows[order]))  # the single wide gather
     bounds = np.searchsorted(pid_surv[order], np.arange(num_partitions + 1))
     return t, bounds
 

@@ -184,12 +184,19 @@ def _audit_dir(
     return len(state["files"]), issues
 
 
+def _read_file(item: dict):
+    yield pq.read_table(item["files"][0])
+
+
 def _read_dir(state: dict | None, schema: pa.Schema) -> "ray.data.Dataset":
-    """A partition directory's committed files as a lazy Dataset."""
+    """A partition directory's committed files as a lazy Dataset, read
+    through ``cdc._partition_dataset`` with one item per file: the files
+    pack by bytes onto at most one task per CPU under its block bound, so
+    a view or replica read fills the pool."""
+    from .cdc import _partition_dataset
+
     files = sorted(state["files"].values()) if state else []
-    if not files:
-        return ray.data.from_arrow(schema.empty_table())
-    return ray.data.read_parquet(files)
+    return _partition_dataset([{"files": [f]} for f in files], _read_file, schema.empty_table())
 
 
 def _read_dir_arrow(state: dict | None, schema: pa.Schema, sort_keys: list[str]) -> pa.Table:
@@ -588,8 +595,9 @@ class MaintainedView:
         return tuple(int(w) for w in state["watermarks"])
 
     def read(self) -> "ray.data.Dataset":
-        """The maintained view as a Dataset (one read task per partition
-        file; plain Parquet, so downstream pipelines compose normally)."""
+        """The maintained view as a Dataset (its partition files packed
+        onto at most one read task per CPU; plain Parquet, so downstream
+        pipelines compose normally)."""
         return _read_dir(self._load_state(), self.schema)
 
     def read_arrow(self) -> pa.Table:

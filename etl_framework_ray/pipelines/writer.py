@@ -40,7 +40,7 @@ from ..sources.changelog import Epoch, Segment
 from ..state.manifest import Manifest, PartitionState
 from ..state.schema import DELETED_COL, LSN_COL, TableSpec
 from ..state import zonemap as zone
-from .cdc import ROW_GROUP_ROWS, CDCEngine, _single_threaded_arrow
+from .cdc import CDCEngine, _single_threaded_arrow, lake_parquet_args
 
 
 @ray.remote
@@ -236,7 +236,7 @@ class LakeWriter:
     ) -> tuple[dict[int, list[tuple[str, int, dict]]], int]:
         """Stage ``ds`` for an overwrite or append: project onto the
         declared columns, stamp ``lsn``, route by ``key0`` and write hive
-        ``pid=`` Parquet files (row groups of at most ``ROW_GROUP_ROWS``)
+        ``pid=`` Parquet files (``cdc.lake_parquet_args``)
         under a fresh ``data/<kind>-<uuid>`` directory, with the DQ gate
         fused into the same pass — ``finalize`` raises BEFORE any commit,
         so a failed gate leaves the files invisible. Returns, per
@@ -267,7 +267,7 @@ class LakeWriter:
         out_dir = os.path.join(self.engine.table_dir, "data", f"{kind}-{uuid.uuid4().hex[:12]}")
         try:
             ds.map_batches(fused, batch_format="pyarrow").write_parquet(
-                out_dir, partition_cols=["pid"], row_group_size=ROW_GROUP_ROWS
+                out_dir, partition_cols=["pid"], **lake_parquet_args(man.schema)
             )
         except BaseException:
             gate.abort(handle)  # failed write must not leak the count sink

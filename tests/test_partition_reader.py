@@ -364,3 +364,48 @@ def test_read_block_bound_is_on_the_dataset_context(tmp_path):
     assert ds.context.target_max_block_size == cdc.READ_BLOCK_BYTES
     assert glob_ctx.target_max_block_size != cdc.READ_BLOCK_BYTES
     assert ds.context.op_resource_reservation_enabled is True
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_view_reads_pack_files_onto_one_task_per_cpu(tmp_path, monkeypatch):
+    """A maintained view's ``read()`` runs on ``_partition_dataset`` with
+    one item per committed file: the files pack by bytes onto at most
+    one task per CPU, and the rows equal ``read_arrow()``."""
+    import os
+
+    import numpy as np
+
+    from etl_framework_ray.pipelines import incremental
+    from etl_framework_ray.pipelines.incremental import IncrementalRollup
+    from etl_framework_ray.sources.generator import GenConfig, generate_changelog
+
+    assert int(ray.cluster_resources()["CPU"]) == 4
+    log = generate_changelog(GenConfig(num_events=3_000, num_conversations=200, seed=41, delete_frac=0.05))
+    clog = ChangeLog(str(tmp_path / "log"))
+    clog.write_segments(log, segment_rows=1_000)
+    eng = CDCEngine(str(tmp_path / "t"), num_partitions=6)
+    eng.replay(clog, segments_per_epoch=1)
+    view = IncrementalRollup(eng, str(tmp_path / "view"))
+    view.advance()
+    files = sorted(view._load_state()["files"].values())
+    assert len(files) == 6
+
+    exp = view.read_arrow().to_pylist()
+    got = sorted(view.read().take_all(), key=lambda r: r["conv_id"])
+    assert got == exp
+
+    real = incremental._read_file
+
+    def per_file(item):
+        task = ray.get_runtime_context().get_task_id()
+        for t in real(item):
+            yield pa.table({"file": [item["files"][0]] * t.num_rows, "task": [task] * t.num_rows})
+
+    monkeypatch.setattr(incremental, "_read_file", per_file)
+    groups: dict[str, set] = {}
+    for r in view.read().take_all():
+        groups.setdefault(r["task"], set()).add(files.index(r["file"]))
+    loads = np.array([1 + os.path.getsize(f) for f in files], dtype=np.int64)
+    want = [set(g) for g in cdc._pack_partitions(loads, 4)]
+    assert len(groups) == 4
+    assert sorted(groups.values(), key=min) == sorted(want, key=min)

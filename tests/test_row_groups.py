@@ -10,8 +10,10 @@ each conversation straddles group boundaries and checks the probe against
 the full merge-on-read.
 """
 
+import ast
 import datetime as dt
 import glob
+import inspect
 import os
 
 import pyarrow as pa
@@ -20,11 +22,11 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 
-from etl_framework_ray.pipelines import cdc
+from etl_framework_ray.pipelines import cdc, writer
 from etl_framework_ray.pipelines.cdc import CDCEngine
 from etl_framework_ray.pipelines.writer import LakeWriter
 from etl_framework_ray.sources.changelog import ChangeLog
-from etl_framework_ray.sources.generator import GenConfig, generate_changelog
+from etl_framework_ray.sources.generator import GenConfig, generate_changelog, oracle_replay
 from etl_framework_ray.state.schema import ColumnSpec, TableSpec
 
 
@@ -52,20 +54,42 @@ def _kind(path: str) -> str:
     return "delta"
 
 
-def _record(files: list[str], seen: dict) -> None:
+def _dictionary_eligible(t: pa.DataType) -> bool:
+    return pa.types.is_string(t) or pa.types.is_binary(t) or pa.types.is_boolean(t)
+
+
+def _dictionary_columns(f: str) -> set[str]:
+    """Columns with a dictionary-encoded chunk in any row group of ``f``."""
+    md = pq.read_metadata(f)
+    return {
+        md.row_group(g).column(c).path_in_schema
+        for g in range(md.num_row_groups)
+        for c in range(md.num_columns)
+        if "RLE_DICTIONARY" in md.row_group(g).column(c).encodings
+    }
+
+
+def _record(files: list[str], seen: dict, dict_cols: dict) -> None:
     """Record, per write site, the most rows any file holds and the most
-    rows any row group holds."""
+    rows any row group holds, and check that only dictionary-eligible
+    columns (``cdc.lake_parquet_args``) carry dictionary pages."""
     for f in files:
         md = pq.read_metadata(f)
         groups = [md.row_group(g).num_rows for g in range(md.num_row_groups)]
         rows, group = seen.get(_kind(f), (0, 0))
         seen[_kind(f)] = (max(rows, md.num_rows), max([group, *groups]))
+        schema = pq.read_schema(f)
+        encoded = _dictionary_columns(f)
+        for name in encoded:
+            assert _dictionary_eligible(schema.field(name).type), f"{_kind(f)}: {name} {f}"
+        dict_cols.setdefault(_kind(f), set()).update(encoded)
 
 
 @pytest.mark.usefixtures("ray_session")
 def test_every_lake_data_file_bounds_its_row_groups(tmp_path):
     cap = cdc.ROW_GROUP_ROWS
     seen: dict = {}
+    dict_cols: dict = {}
     # keyed table: 2 partitions, two 20k-event epochs (≈10k rows per
     # partition each), compaction on the second with retention on
     log = generate_changelog(
@@ -76,11 +100,11 @@ def test_every_lake_data_file_bounds_its_row_groups(tmp_path):
     table = str(tmp_path / "keyed")
     eng = CDCEngine(table, num_partitions=2, compact_every=1, changefeed_retention_lsn=10**9)
     eng.replay(clog, segments_per_epoch=2, vacuum=False)
-    _record(_data_files(table), seen)
+    _record(_data_files(table), seen, dict_cols)
     eng.purge(["conv-000001", "conv-000002"])
-    _record(_data_files(table), seen)
+    _record(_data_files(table), seen, dict_cols)
     eng.reshard(new_num_partitions=1)
-    _record(_data_files(table), seen)
+    _record(_data_files(table), seen, dict_cols)
 
     # PK-less table: append staging and its sorted OPTIMIZE, ≈6k rows per
     # partition
@@ -108,7 +132,7 @@ def test_every_lake_data_file_bounds_its_row_groups(tmp_path):
         )
     )
     w.engine.compact(sort_by=["ts"])
-    _record(_data_files(str(tmp_path / "append")), seen)
+    _record(_data_files(str(tmp_path / "append")), seen, dict_cols)
     # one overwrite table of ≈6k rows per partition
     w = LakeWriter(str(tmp_path / "overwrite"), spec, num_partitions=2)
     w.overwrite(
@@ -121,7 +145,7 @@ def test_every_lake_data_file_bounds_its_row_groups(tmp_path):
             )
         )
     )
-    _record(_data_files(str(tmp_path / "overwrite")), seen)
+    _record(_data_files(str(tmp_path / "overwrite")), seen, dict_cols)
 
     kinds = {
         "delta",
@@ -137,6 +161,10 @@ def test_every_lake_data_file_bounds_its_row_groups(tmp_path):
     for kind, (rows, group) in seen.items():
         assert rows > cap, f"{kind}: no file larger than one group ({rows} rows)"
         assert group <= cap, f"{kind}: a row group holds {group} > {cap} rows"
+    # the keyed table's short strings keep their dictionary pages; its
+    # large_string text, ts and _lsn never get one (checked per file above)
+    for kind in kinds - {"optimize", "append staging", "overwrite staging"}:
+        assert {"conv_id", "role"} <= dict_cols[kind], kind
 
 
 def _delete_conversation(log: pa.Table, conv: str) -> pa.Table:
@@ -207,3 +235,94 @@ def test_probe_reads_keys_that_span_row_groups(tmp_path, monkeypatch):
         exp = merged.filter(pc.is_in(cdc._pair_codes(merged, key_cols), value_set=codes))
         assert exp.num_rows > 0
         assert got.equals(exp), pid
+
+
+#: Parquet writes in the lake-writing modules that write no lake data file
+_NOT_LAKE_DATA = {
+    "_dq_gate_changes": "DQ failure detail rows under _metrics",
+    "_stage_segment_task": "a changelog segment, not a table file",
+}
+_LAKE_WRITERS = {"_write_data_file", "_write_merged_stream", "_stage_files"}
+
+
+def _is_parquet_write(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    f = node.func
+    if f.attr == "write_parquet":
+        return True
+    return f.attr in ("write_table", "ParquetWriter") and isinstance(f.value, ast.Name) and f.value.id == "pq"
+
+
+def _is_helper_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "lake_parquet_args"
+    )
+
+
+def test_every_lake_data_write_takes_the_one_helpers_args():
+    found: dict[str, list[bool]] = {}
+    for mod in (cdc, writer):
+        tree = ast.parse(inspect.getsource(mod))
+        fns = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for fn in fns:
+            inner = {id(n) for g in ast.walk(fn) if g is not fn and isinstance(g, ast.FunctionDef) for n in ast.walk(g)}
+            own = [n for n in ast.walk(fn) if id(n) not in inner]
+            helper_vars = {
+                t.id
+                for n in own
+                if isinstance(n, ast.Assign) and _is_helper_call(n.value)
+                for t in n.targets
+                if isinstance(t, ast.Name)
+            }
+            for call in filter(_is_parquet_write, own):
+                takes = any(
+                    kw.arg is None
+                    and (_is_helper_call(kw.value) or (isinstance(kw.value, ast.Name) and kw.value.id in helper_vars))
+                    for kw in call.keywords
+                )
+                found.setdefault(fn.name, []).append(takes)
+    assert set(found) == _LAKE_WRITERS | set(_NOT_LAKE_DATA), sorted(found)
+    for name in _LAKE_WRITERS:
+        assert all(found[name]), f"{name} writes a lake data file without lake_parquet_args"
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_dictionary_encoded_files_stack_with_plain_ones(tmp_path):
+    """Files written with dictionary pages on every column (the encoding
+    before ``lake_parquet_args``) stack with newer files: the mixed stack
+    reads, looks up and compacts to the same rows."""
+    log = generate_changelog(
+        GenConfig(num_events=4_000, num_conversations=120, seed=23, delete_frac=0.05, text_pad=8)
+    )
+    clog = ChangeLog(str(tmp_path / "log"))
+    clog.write_segments(log, segment_rows=500)
+    table = str(tmp_path / "t")
+    eng = CDCEngine(table, num_partitions=4, compact_every=100)
+    eng.replay(clog, segments_per_epoch=1)
+    before = eng.snapshot_arrow()
+    oracle = oracle_replay(log)
+    assert before.num_rows == len(oracle)
+
+    files = _data_files(table)
+    assert len(files) > 8
+    old = files[::2]
+    for f in old:
+        pq.write_table(pq.read_table(f), f, row_group_size=cdc.ROW_GROUP_ROWS)
+        assert {"text", "ts", "_lsn"} <= _dictionary_columns(f)
+    for f in files[1::2]:
+        assert not {"text", "ts", "_lsn"} & _dictionary_columns(f)
+
+    assert eng.snapshot_arrow().equals(before)
+    assert sorted(eng.snapshot().take_all(), key=lambda r: (r["conv_id"], r["turn_idx"])) == before.to_pylist()
+    keys = sorted(set(before.column("conv_id").to_pylist()))[::7]
+    got = eng.lookup(keys)
+    assert got.equals(before.filter(pc.is_in(before.column("conv_id"), value_set=pa.array(keys))))
+
+    assert eng.compact() > 0
+    assert eng.snapshot_arrow().equals(before)
+    for ps in eng.manifest.partitions.values():
+        for f in ps.files:
+            assert not {"text", "ts", "_lsn"} & _dictionary_columns(f)
