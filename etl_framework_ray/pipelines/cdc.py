@@ -45,7 +45,9 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -117,6 +119,13 @@ _ENVELOPE = ("lsn", "op")
 #: rows a key probe decodes per group; much smaller groups slow full-file
 #: reads (1024 rows measured +58%), so keep it at 2048 or above.
 ROW_GROUP_ROWS = 4096
+
+#: most parquet footers :func:`_footer` holds per process (LRU). One
+#: footer of a serve-table lake file (``FileMetaData`` of 3-8 row groups
+#: plus its Arrow schema) measured ~47 KB resident, so a full cache holds
+#: ~12 MB; a 16-partition table of 4-file stacks needs 64 entries, and
+#: the changelog segments an epoch plans need a few more
+FOOTER_CACHE_FILES = 256
 
 #: the map combiner runs only when it keeps at most this share of a
 #: segment's rows (its distinct key tuples, counted before any sort);
@@ -210,27 +219,59 @@ def pruned_lake_schema(
     return pa.schema([f for f in lake_sch if f.name in need])
 
 
-def _parquet(f) -> pq.ParquetFile:
-    """A lake data file's reader: ``f`` is a path, or the file already
-    opened (:func:`partition_chunks` opens each footer once)."""
-    return f if isinstance(f, pq.ParquetFile) else pq.ParquetFile(f)
+_footers: OrderedDict[tuple, zone.Footer] = OrderedDict()
+_footers_lock = threading.Lock()
 
 
-def _read_pruned(f, lake_sch: pa.Schema, conjuncts=None) -> pa.Table:
-    """One lake data file (path or opened), normalized to ``lake_sch``,
-    decoding only the row groups whose footer stats could satisfy
-    ``conjuncts`` (``zone.qualifying_row_groups``; PK-only under
-    merge-on-read)."""
-    pf = _parquet(f)
-    have = set(pf.schema_arrow.names)
+def _footer(path: str) -> zone.Footer:
+    """THE footer read of a lake data file or changelog segment: its
+    ``FileMetaData``, Arrow schema and per-row-group zone stats
+    (``zone.Footer``), from a process-local LRU cache of at most
+    :data:`FOOTER_CACHE_FILES` entries, shared by the driver's lookups or
+    by every task a Ray worker process runs. Both kinds of file are immutable
+    once written, so an entry is keyed by ``(path, st_ino, st_mtime_ns,
+    st_size)``: a file replaced at the same path (every lake write is
+    tmp + ``os.replace``, a new inode) misses and is read fresh, and a
+    vacuumed or deleted file fails loud at the ``stat``."""
+    st = os.stat(path)
+    key = (path, st.st_ino, st.st_mtime_ns, st.st_size)
+    with _footers_lock:
+        ft = _footers.get(key)
+        if ft is not None:
+            _footers.move_to_end(key)
+            return ft
+    with pq.ParquetFile(path) as pf:
+        ft = zone.Footer(pf.metadata, pf.schema_arrow)
+    with _footers_lock:
+        _footers[key] = ft
+        while len(_footers) > FOOTER_CACHE_FILES:
+            _footers.popitem(last=False)
+    return ft
+
+
+def _parquet(path: str, ft: zone.Footer) -> pq.ParquetFile:
+    """A lake data file's reader, opened on its cached footer."""
+    return pq.ParquetFile(path, metadata=ft.metadata, pre_buffer=False)
+
+
+def _read_pruned(path: str, lake_sch: pa.Schema, conjuncts=None) -> pa.Table:
+    """One lake data file, normalized to ``lake_sch``, decoding only the
+    row groups whose footer stats could satisfy ``conjuncts``
+    (``zone.qualifying_row_groups`` over the cached :func:`_footer`;
+    PK-only under merge-on-read). The decode is single-threaded with no
+    pre-buffering: a probe decodes a group or two, where a thread
+    hand-off costs more than it saves, and inside Ray tasks Arrow runs on
+    one thread anyway (:func:`_single_threaded_arrow`)."""
+    ft = _footer(path)
+    have = set(ft.schema_arrow.names)
     cols = [n for n in lake_sch.names if n in have]
-    keep = zone.qualifying_row_groups(pf, conjuncts) if conjuncts else None
+    keep = zone.qualifying_row_groups(ft, conjuncts) if conjuncts else None
     if keep == []:
-        t = pf.schema_arrow.empty_table().select(cols)
+        t = ft.schema_arrow.empty_table().select(cols)
     elif keep is None:
-        t = pf.read(columns=cols)
+        t = _parquet(path, ft).read(columns=cols, use_threads=False)
     else:
-        t = pf.read_row_groups(keep, columns=cols)
+        t = _parquet(path, ft).read_row_groups(keep, columns=cols, use_threads=False)
     return normalize_table(t, lake_sch)
 
 
@@ -242,8 +283,8 @@ def merge_partition_files(
     extra: pa.Table | None = None,
 ) -> pa.Table:
     """Merge-on-read of one partition: concat its base+delta files (oldest
-    first; paths or opened files) and ``extra`` (in-memory rows folded in
-    last, e.g. an epoch's changes), LWW-reduce on the key in ONE pass.
+    first) and ``extra`` (in-memory rows folded in last, e.g. an epoch's
+    changes), LWW-reduce on the key in ONE pass.
     Output is key-sorted and still carries tombstones + bookkeeping
     columns. ``conjuncts`` skip row groups by footer stats (PK-only under
     merge — see _iter_file_chunks)."""
@@ -360,8 +401,10 @@ def _read_keys(path: str, lake_sch: pa.Schema, key0: str, vals: list) -> pa.Tabl
     """THE keyed file probe: rows of one lake data file whose leading key
     is in ``vals``, normalized to ``lake_sch``. Row groups are selected by
     the scan path's own selector (:func:`_read_pruned` with one ``in``
-    conjunct), so only groups whose footer key range holds a wanted key
-    are decoded; an ``is_in`` residual drops the rest."""
+    conjunct, judged on the cached footer's per-group stats), so a warm
+    probe reads no footer and decodes, single-threaded, only the groups
+    whose key range holds a wanted key; an ``is_in`` residual drops the
+    rest."""
     if not vals:
         return lake_sch.empty_table()
     t = _read_pruned(path, lake_sch, [(key0, "in", vals)])
@@ -530,12 +573,13 @@ def _iter_file_chunks(f, lake_sch: pa.Schema, chunk_rows: int, conjuncts=None):
     # additionally skip row groups by footer stats: base files are
     # PK-SORTED, so their groups carry tight disjoint key ranges and a
     # key predicate decodes only the matching slice of each file
-    pf = _parquet(f)
-    have = set(pf.schema_arrow.names)
+    ft = _footer(f)
+    have = set(ft.schema_arrow.names)
     cols = [n for n in lake_sch.names if n in have]
-    keep = zone.qualifying_row_groups(pf, conjuncts) if conjuncts else None
+    keep = zone.qualifying_row_groups(ft, conjuncts) if conjuncts else None
     if keep == []:
         return
+    pf = _parquet(f, ft)
     for rb in pf.iter_batches(batch_size=chunk_rows, columns=cols, row_groups=keep):
         yield normalize_table(pa.Table.from_batches([rb]), lake_sch)
 
@@ -615,10 +659,9 @@ def iter_merged_partition(
     conjuncts=None,
 ):
     """STREAMING merge-on-read of one partition: k-way chunk merge over the
-    key-sorted base/delta files (paths or opened files; plus an optional
-    in-memory key-sorted table, e.g. an epoch's reduced changes),
-    yielding key-sorted, LWW-reduced, key-COMPLETE chunks — no key ever
-    spans two yields.
+    key-sorted base/delta files (plus an optional in-memory key-sorted
+    table, e.g. an epoch's reduced changes), yielding key-sorted,
+    LWW-reduced, key-COMPLETE chunks — no key ever spans two yields.
 
     Peak memory is O(chunk_rows × open files) instead of O(partition), so
     partitions can be sized well past worker heap (the 100-TB sizing knob
@@ -662,20 +705,19 @@ def partition_chunks(
     that, engine-written stacks (``_is_cdc_sorted``) of a ≤2-column PK
     stream through :func:`iter_merged_partition`, so peak memory is
     O(min(stack, chunk × files)); writer-staged (unsorted) files and
-    wider PKs always take the whole-partition merge. Each
-    footer is opened once. ``conjuncts`` skip row groups by footer stats
+    wider PKs always take the whole-partition merge. Footers come from
+    the :func:`_footer` cache. ``conjuncts`` skip row groups by footer stats
     (PK conjuncts under merge, any conjunct on a PK-less table)."""
     files = list(files)
-    pfs = [pq.ParquetFile(f) for f in files]
-    rows = sum(pf.metadata.num_rows for pf in pfs)
+    rows = sum(_footer(f).metadata.num_rows for f in files)
     if extra_sorted is not None:
         rows += extra_sorted.num_rows
     if rows > chunk_rows and key_cols and len(key_cols) <= 2 and _is_cdc_sorted(files):
         yield from iter_merged_partition(
-            pfs, lake_sch, key_cols, extra_sorted, chunk_rows, conjuncts
+            files, lake_sch, key_cols, extra_sorted, chunk_rows, conjuncts
         )
         return
-    t = merge_partition_files(pfs, lake_sch, key_cols, conjuncts, extra=extra_sorted)
+    t = merge_partition_files(files, lake_sch, key_cols, conjuncts, extra=extra_sorted)
     if t.num_rows:
         yield t
 
@@ -1333,10 +1375,6 @@ class CDCEngine:
         #: object-store deployment (data files need no atomicity anywhere)
         self.store = ManifestStore(table_dir, backend=commit_backend)
         self.run_context = run_context or RunContext()
-        #: per-path schema cache — segment files are immutable, so the
-        #: driver reads each footer at most once per replay (the serial
-        #: driver fraction between epochs is what Amdahl charges scaling)
-        self._schema_cache: dict[str, pa.Schema] = {}
         man = self.store.load()
         if man is None:
             if not create_if_missing:
@@ -1536,10 +1574,10 @@ class CDCEngine:
         the epoch driver plans epoch N+1 against the schema epoch N will
         commit (evolution is schema-deterministic, independent of data).
         """
-        for p in epoch.paths:
-            if p not in self._schema_cache:
-                self._schema_cache[p] = pq.read_schema(p)
-        schemas = [self._schema_cache[p] for p in epoch.paths]
+        # segment files are immutable: the footer cache parses each one's
+        # footer once while it stays cached (the serial driver fraction
+        # between epochs is what Amdahl charges scaling)
+        schemas = [_footer(p).schema_arrow for p in epoch.paths]
         incoming = schemas[0]
         for s in schemas[1:]:
             incoming, _ = merge_schemas(incoming, s)  # widening-aware unify
@@ -2543,7 +2581,7 @@ class CDCEngine:
                     # footer metadata only — physical rows INCLUDE
                     # superseded versions + tombstones in the delta stack
                     # (exact LIVE rows require the merge: snapshot().count())
-                    rows_physical += pq.ParquetFile(f).metadata.num_rows
+                    rows_physical += _footer(f).metadata.num_rows
                 except OSError:
                     missing += 1
         retained = man.properties.get("retained_deltas", []) or []
@@ -3028,12 +3066,14 @@ class CDCEngine:
         fanout included), skips files whose manifest zone map excludes
         every key, and reads the rest through the keyed probe
         :func:`_read_keys`, which decodes only the row groups whose footer
-        key range holds a key, after one footer scan that is O(row groups
-        per file). Every lake data file has row groups of at most
-        ``ROW_GROUP_ROWS`` rows, so a lookup decodes O(row groups
-        containing the key) × ``ROW_GROUP_ROWS`` rows per file. The
-        merged result is LWW-reduced, tombstones dropped, public columns,
-        PK-sorted.
+        key range holds a key. Footers and their per-group stats come from
+        the process-local :func:`_footer` cache, so a repeat lookup on a
+        file pays a ``stat`` and an O(row groups per file) stats check
+        before the decode, not a footer parse. Every lake data file has
+        row groups of at most ``ROW_GROUP_ROWS`` rows, so a lookup decodes
+        O(row groups containing the key) × ``ROW_GROUP_ROWS`` rows per
+        file. The merged result is LWW-reduced, tombstones dropped, public
+        columns, PK-sorted.
 
         Driver-side by contract: point results are small (a handful of
         entities); for bulk key-range scans use

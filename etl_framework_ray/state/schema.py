@@ -14,6 +14,7 @@ must be NOT NULL (rules.py:228-261).
 from __future__ import annotations
 
 import base64
+import functools
 from dataclasses import dataclass, field
 
 import pyarrow as pa
@@ -186,7 +187,11 @@ def merge_schemas(current: pa.Schema, incoming: pa.Schema) -> tuple[pa.Schema, l
 def normalize_table(tbl: pa.Table, schema: pa.Schema) -> pa.Table:
     """Project/cast a table to ``schema``: add missing columns as nulls, cast
     widened types, order columns. Used when reading pre-evolution files and
-    when normalizing changelog batches to the current epoch schema."""
+    when normalizing changelog batches to the current epoch schema. A
+    table already in ``schema`` (field and schema metadata included) is
+    returned as is."""
+    if tbl.schema.equals(schema, check_metadata=True):
+        return tbl
     cols = []
     n = tbl.num_rows
     for f in schema:
@@ -204,7 +209,11 @@ def schema_to_b64(schema: pa.Schema) -> str:
     return base64.b64encode(schema.serialize().to_pybytes()).decode()
 
 
+@functools.lru_cache(maxsize=64)
 def schema_from_b64(s: str) -> pa.Schema:
+    """Decode :func:`schema_to_b64` output, memoized on the string
+    (``pa.Schema`` is immutable): a manifest's schema is read on every
+    lookup and scan but changes only on schema evolution."""
     return pa.ipc.read_schema(pa.BufferReader(base64.b64decode(s)))
 
 

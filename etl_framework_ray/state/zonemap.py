@@ -230,8 +230,40 @@ def stats_from_parquet_meta(path: str, columns: list[str] | None = None) -> dict
     return {k: v for k, v in out.items() if v["rows"] == total}
 
 
-def qualifying_row_groups(pf, conjuncts) -> list | None:
-    """Row-group indices of an open ``pyarrow.parquet.ParquetFile`` whose
+class Footer:
+    """One parquet file's footer, held for reuse: its ``metadata``
+    (``FileMetaData``), its Arrow schema (``schema_arrow``) and the
+    per-row-group zone stats of each column asked for, parsed from the
+    footer once per column (:func:`_one_row_group_stats`)."""
+
+    __slots__ = ("metadata", "schema_arrow", "_cols")
+
+    def __init__(self, metadata, schema_arrow: pa.Schema):
+        self.metadata = metadata
+        self.schema_arrow = schema_arrow
+        self._cols: dict[str, list] = {}
+
+    def group_stats(self, columns) -> list[dict]:
+        """Per row group, the zone stats of ``columns`` (a column a group
+        has no usable stats for is absent from its dict)."""
+        md = self.metadata
+        missing = {c for c in columns if c not in self._cols}
+        if missing:
+            parsed = [
+                _one_row_group_stats(md.row_group(rg), self.schema_arrow, missing)
+                for rg in range(md.num_row_groups)
+            ]
+            for c in missing:
+                self._cols[c] = [g.get(c) for g in parsed]
+        per_col = [(c, self._cols[c]) for c in columns]
+        return [
+            {c: col[rg] for c, col in per_col if col[rg] is not None}
+            for rg in range(md.num_row_groups)
+        ]
+
+
+def qualifying_row_groups(footer: Footer, conjuncts) -> list | None:
+    """Row-group indices of a parquet file (its :class:`Footer`) whose
     footer stats could satisfy the conjunction — the within-file tier of
     data skipping (file → row group → residual row filter). Returns None
     when nothing can be skipped (read everything, no index list overhead).
@@ -242,15 +274,10 @@ def qualifying_row_groups(pf, conjuncts) -> list | None:
     reads."""
     if not conjuncts:
         return None
-    md = pf.metadata
-    sch = pf.schema_arrow
-    want = {c[0] for c in conjuncts}  # only predicate columns need stats
-    keep = [
-        rg
-        for rg in range(md.num_row_groups)
-        if file_can_match(_one_row_group_stats(md.row_group(rg), sch, want) or None, conjuncts)
-    ]
-    return keep if len(keep) < md.num_row_groups else None
+    # only predicate columns need stats
+    groups = footer.group_stats(sorted({c[0] for c in conjuncts}))
+    keep = [rg for rg, st in enumerate(groups) if file_can_match(st or None, conjuncts)]
+    return keep if len(keep) < len(groups) else None
 
 
 def merge_stats(acc: dict | None, more: dict) -> dict:

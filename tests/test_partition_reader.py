@@ -80,7 +80,10 @@ def test_keyed_reads_and_data_writes_have_one_implementation():
     """Point reads go through the keyed file probe (``cdc._read_keys``),
     never a dataset-API filter that decodes whole files, and every lake
     data file is written by ``cdc._write_data_file`` (bounded row
-    groups); the DQ failure file is the one other parquet write."""
+    groups); the DQ failure file is the one other parquet write. Every
+    footer read in ``pipelines/cdc.py`` goes through the one footer cache
+    (``cdc._footer``; a re-open passes the cached ``metadata=``), and the
+    probe selects row groups only through ``zone.qualifying_row_groups``."""
     filtered = {
         (rel, fn)
         for rel, fn, call in _calls("read_table")
@@ -96,6 +99,35 @@ def test_keyed_reads_and_data_writes_have_one_implementation():
     assert writes == {
         ("pipelines/cdc.py", "_write_data_file"),
         ("pipelines/cdc.py", "_dq_gate_changes"),
+    }
+    footer_reads = {
+        (fn, any(k.arg == "metadata" for k in call.keywords))
+        for name in ("ParquetFile", "read_schema", "read_metadata")
+        for rel, fn, call in _calls(name)
+        if rel == "pipelines/cdc.py"
+    }
+    assert footer_reads == {("_footer", False), ("_parquet", True)}
+    # one row-group selector: the probe reaches a file only through the
+    # scan path's reader, which selects groups by the cached footer stats
+    assert _callers("qualifying_row_groups") == {
+        ("pipelines/cdc.py", "_read_pruned"),
+        ("pipelines/cdc.py", "_iter_file_chunks"),
+    }
+    assert _callers("read_row_groups") == {("pipelines/cdc.py", "_read_pruned")}
+    probe = next(
+        n
+        for n in ast.walk(ast.parse((PKG / "pipelines" / "cdc.py").read_text()))
+        if isinstance(n, ast.FunctionDef) and n.name == "_read_keys"
+    )
+    called = {
+        c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+        for c in ast.walk(probe)
+        if isinstance(c, ast.Call)
+    }
+    assert "_read_pruned" in called
+    assert not called & {
+        "_footer", "_parquet", "ParquetFile", "read_row_groups", "row_group",
+        "group_stats", "file_can_match", "searchsorted", "read_table",
     }
 
 

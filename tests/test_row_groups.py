@@ -6,8 +6,10 @@ Every lake data file — written by the CDC engine or staged by
 ``_read_prior_rows``, ``purge``) decode only the groups whose leading-key
 footer range brackets a wanted key (``cdc._read_keys``). The first test
 drives every write site; the second rewrites a table into 7-row groups so
-each conversation straddles group boundaries and checks the probe against
-the full merge-on-read.
+each conversation straddles group boundaries and checks the probe, cold
+and with every footer cached, against the full merge-on-read. The footer
+cache tests check that a cached footer never answers for a rewritten or
+deleted file and that the cache stays within its bound.
 """
 
 import ast
@@ -210,13 +212,26 @@ def test_probe_reads_keys_that_span_row_groups(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
     held = 0
-    for i in range(convs + 10):  # the last 10 ids were never written
-        key = f"conv-{i:06d}"
-        got = eng.lookup([key])
-        assert got.equals(snap.filter(pc.equal(snap.column("conv_id"), key))), key
-        for pid in eng._key_partitions([key]):
-            held += sum(pq.read_metadata(f).num_rows for f in man.partitions[pid].files)
-    assert decoded and sum(decoded) < held
+    passes = []
+    # cold (no cached footer), then warm (every footer cached): the same
+    # rows, from the same decoded groups
+    cdc._footers.clear()
+    for _ in range(2):
+        decoded.clear()
+        results = []
+        for i in range(convs + 10):  # the last 10 ids were never written
+            key = f"conv-{i:06d}"
+            got = eng.lookup([key])
+            assert got.equals(snap.filter(pc.equal(snap.column("conv_id"), key))), key
+            results.append(got)
+            if not passes:
+                for pid in eng._key_partitions([key]):
+                    held += sum(pq.read_metadata(f).num_rows for f in man.partitions[pid].files)
+        assert decoded and sum(decoded) < held
+        passes.append((results, list(decoded)))
+    (cold, cold_decoded), (warm, warm_decoded) = passes
+    assert all(a.equals(b) for a, b in zip(cold, warm))
+    assert cold_decoded == warm_decoded
     monkeypatch.undo()
 
     # the patch fold's prior-state read: even turns of every other
@@ -235,6 +250,116 @@ def test_probe_reads_keys_that_span_row_groups(tmp_path, monkeypatch):
         exp = merged.filter(pc.is_in(cdc._pair_codes(merged, key_cols), value_set=codes))
         assert exp.num_rows > 0
         assert got.equals(exp), pid
+
+
+def _keyed_file(path: str, ids: range) -> pa.Table:
+    """Write a small lake-shaped file of ``conv_id``s through the one lake
+    data-file writer; returns its rows."""
+    t = pa.table(
+        {
+            "conv_id": [f"conv-{i:06d}" for i in ids],
+            "_lsn": pa.array(range(len(ids)), pa.int64()),
+            "_deleted": [False] * len(ids),
+        }
+    )
+    cdc._write_data_file(t, path)
+    return t
+
+
+def test_footer_cache_reads_a_rewritten_file_fresh_and_a_deleted_one_fails(tmp_path):
+    """A footer cached for a path never answers for a file since written
+    there: ``_write_data_file`` replaces the file (a new inode), so the
+    probe re-reads its footer. A deleted file fails loud, cached or not."""
+    path = str(tmp_path / "delta-00000-00000001.parquet")
+    old = _keyed_file(path, range(10, 14))
+    lake = old.schema
+    key = lambda i: f"conv-{i:06d}"  # noqa: E731
+    assert cdc._read_keys(path, lake, "conv_id", [key(11)]).num_rows == 1
+    first = cdc._footer(path)
+    assert cdc._footer(path) is first  # warm
+    size = os.path.getsize(path)
+    new = _keyed_file(path, range(20, 24))
+    assert os.path.getsize(path) == size  # the stat key still tells them apart
+    assert cdc._footer(path) is not first
+    assert cdc._read_keys(path, lake, "conv_id", [key(11)]).num_rows == 0
+    got = cdc._read_keys(path, lake, "conv_id", [key(21), key(11)])
+    assert got.equals(new.slice(1, 1))
+    os.remove(path)
+    with pytest.raises(FileNotFoundError):
+        cdc._read_keys(path, lake, "conv_id", [key(21)])
+    with pytest.raises(FileNotFoundError):
+        cdc._footer(path)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_footer_cache_fails_loud_on_a_vacuumed_file(tmp_path):
+    """A time-travel read whose files were vacuumed raises, even though
+    the footers of those files were cached by an earlier read."""
+    log = generate_changelog(GenConfig(num_events=1_200, num_conversations=40, seed=29, text_pad=8))
+    clog = ChangeLog(str(tmp_path / "log"))
+    clog.write_segments(log, segment_rows=300)
+    eng = CDCEngine(str(tmp_path / "t"), num_partitions=2, compact_every=1)
+    eng.replay(clog, segments_per_epoch=1, vacuum=False)
+    first = eng.store.load(2)
+    old = eng.snapshot_arrow(version=2)  # caches the old version's footers
+    assert old.num_rows and set(first.data_files()) - set(eng.manifest.data_files())
+    assert eng.vacuum() > 0
+    with pytest.raises(FileNotFoundError):
+        eng.snapshot_arrow(version=2)
+
+
+def test_footer_cache_holds_at_most_its_bound(tmp_path):
+    """The footer cache never holds more than ``FOOTER_CACHE_FILES``
+    entries and evicts the least recently used one."""
+    bound = cdc.FOOTER_CACHE_FILES
+    assert 0 < bound <= 1024
+    cdc._footers.clear()
+    paths = [str(tmp_path / f"f{i}.parquet") for i in range(bound + 8)]
+    for i, p in enumerate(paths):
+        _keyed_file(p, range(i, i + 2))
+    kept = cdc._footer(paths[0])
+    for i, p in enumerate(paths[1:], 1):
+        cdc._footer(p)
+        cdc._footer(paths[0])  # most recently used: never evicted
+        assert len(cdc._footers) == min(i + 1, bound)
+    assert cdc._footer(paths[0]) is kept
+    cached = {k[0] for k in cdc._footers}
+    assert paths[1] not in cached and paths[-1] in cached
+
+
+def test_footer_cache_stays_bounded_under_threads(tmp_path, monkeypatch):
+    """Threads sharing the footer cache (more threads than cores, a short
+    switch interval) each get their own file's footer, and the cache never
+    ends over its bound."""
+    import sys
+    import threading
+
+    monkeypatch.setattr(cdc, "FOOTER_CACHE_FILES", 4)
+    cdc._footers.clear()
+    paths = [str(tmp_path / f"f{i}.parquet") for i in range(12)]
+    for i, p in enumerate(paths):
+        _keyed_file(p, range(i + 1))  # file i holds i + 1 rows
+    wrong: list[str] = []
+
+    def probe(seed: int) -> None:
+        for j in range(300):
+            i = (seed * 7 + j * 5) % len(paths)
+            if cdc._footer(paths[i]).metadata.num_rows != i + 1:
+                wrong.append(paths[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=probe, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(cdc._footers) <= 4
 
 
 #: Parquet writes in the lake-writing modules that write no lake data file

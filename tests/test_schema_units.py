@@ -4,6 +4,8 @@ No Ray."""
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from etl_framework_ray.functions.hashing import partition_ids, stable_hash_array
 from etl_framework_ray.state.schema import (
@@ -57,6 +59,67 @@ def test_normalize_table_roundtrip():
     assert out.column("a").type == pa.int64()
 
 
+def _normalize_by_rebuild(tbl: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``normalize_table`` before its fast path: every call rebuilds."""
+    cols = []
+    for f in schema:
+        if f.name in tbl.schema.names:
+            col = tbl.column(f.name)
+            cols.append(col if col.type.equals(f.type) else col.cast(f.type))
+        else:
+            cols.append(pa.nulls(tbl.num_rows, f.type))
+    return pa.Table.from_arrays(cols, schema=schema)
+
+
+#: (name, target type, a narrower type it widens from, values)
+_NORMALIZE_FIELDS = (
+    ("k", pa.int64(), pa.int32(), lambda i: i),
+    ("s", pa.large_string(), pa.string(), lambda i: f"v{i}" if i % 3 else None),
+    ("x", pa.float64(), pa.float32(), lambda i: i / 4),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.lists(st.sampled_from(["same", "same", "widened", "missing"]), min_size=3, max_size=3),
+    field_meta=st.lists(st.booleans(), min_size=3, max_size=3),
+    input_field_meta=st.lists(st.booleans(), min_size=3, max_size=3),
+    schema_meta=st.sampled_from([None, {b"origin": b"lake"}, {b"origin": b"other"}]),
+    input_schema_meta=st.sampled_from([None, {b"origin": b"lake"}, {b"origin": b"other"}]),
+    rows=st.integers(0, 9),
+    chunks=st.integers(1, 3),
+)
+# the schema already matches; then only field, then only schema metadata differs
+@example(["same"] * 3, [True, False, True], [True, False, True], None, None, 5, 2)
+@example(["same"] * 3, [True, False, True], [True, True, True], None, None, 5, 2)
+@example(["same"] * 3, [False] * 3, [False] * 3, {b"origin": b"lake"}, None, 5, 2)
+def test_normalize_table_fast_path_matches_rebuild(
+    shape, field_meta, input_field_meta, schema_meta, input_schema_meta, rows, chunks
+):
+    """The fast path returns exactly what the rebuild returned, for
+    matching, widened, missing-column and metadata-differing inputs, and
+    returns the input itself when its schema already is the target."""
+    meta = {b"comment": b"c"}
+    target = pa.schema(
+        [pa.field(n, t, metadata=meta if m else None) for (n, t, _w, _v), m in zip(_NORMALIZE_FIELDS, field_meta)],
+        metadata=schema_meta,
+    )
+    fields, arrays = [], []
+    for (name, typ, narrow, value), how, m in zip(_NORMALIZE_FIELDS, shape, input_field_meta):
+        if how == "missing":
+            continue
+        t = typ if how == "same" else narrow
+        fields.append(pa.field(name, t, metadata=meta if m else None))
+        arrays.append(pa.chunked_array([pa.array([value(i) for i in range(rows)], t)] * chunks))
+    tbl = pa.Table.from_arrays(arrays, schema=pa.schema(fields, metadata=input_schema_meta))
+    got = normalize_table(tbl, target)
+    want = _normalize_by_rebuild(tbl, target)
+    assert got.schema.equals(want.schema, check_metadata=True)
+    assert got.equals(want, check_metadata=True)
+    if tbl.schema.equals(target, check_metadata=True):
+        assert got is tbl
+
+
 def test_schema_b64_roundtrip():
     s = pa.schema([pa.field("k", pa.int32(), nullable=False, metadata={b"comment": b"hi"})])
     assert schema_from_b64(schema_to_b64(s)).equals(s, check_metadata=True)
@@ -73,3 +136,23 @@ def test_stable_hash_deterministic_and_spread():
     # salt shifts assignments
     salted = partition_ids(pa.array(list(vals)), 16, salt=np.ones(1000, dtype=np.int64))
     assert (pid != salted).any()
+
+
+def test_manifest_schema_decodes_once_and_sees_a_change_at_once():
+    """``Manifest.schema`` decodes ``schema_b64`` once per string, and a
+    schema change — through ``set_schema`` or a new ``schema_b64`` — is
+    seen by the next access."""
+    from etl_framework_ray.state.manifest import Manifest
+
+    a = pa.schema([pa.field("k", pa.int32(), nullable=False)])
+    b = pa.schema([pa.field("k", pa.int64(), nullable=False), pa.field("v", pa.string())])
+    man = Manifest(table="t", version=1, num_partitions=1, schema_b64=schema_to_b64(a))
+    first = man.schema
+    assert first.equals(a) and man.schema is first
+    man.set_schema(b)
+    assert man.schema.equals(b)
+    assert man.schema is man.schema
+    man.schema_b64 = schema_to_b64(a)
+    assert man.schema.equals(a)
+    copy = Manifest.from_json(man.to_json())
+    assert copy.schema.equals(a)

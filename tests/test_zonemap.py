@@ -230,7 +230,7 @@ def test_row_group_pruning_matches_residual(tmp_path_factory, data, splits, conj
     p = str(d / "f.parquet")
     pq.write_table(t, p, row_group_size=max(splits[0], 1))
     pf = pq.ParquetFile(p)
-    keep = zm.qualifying_row_groups(pf, conjuncts)
+    keep = zm.qualifying_row_groups(zm.Footer(pf.metadata, pf.schema_arrow), conjuncts)
     got = pf.read() if keep is None else (
         pf.read_row_groups(keep) if keep else t.schema.empty_table()
     )
