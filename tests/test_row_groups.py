@@ -308,23 +308,67 @@ def test_footer_cache_fails_loud_on_a_vacuumed_file(tmp_path):
         eng.snapshot_arrow(version=2)
 
 
-def test_footer_cache_holds_at_most_its_bound(tmp_path):
-    """The footer cache never holds more than ``FOOTER_CACHE_FILES``
-    entries and evicts the least recently used one."""
-    bound = cdc.FOOTER_CACHE_FILES
-    assert 0 < bound <= 1024
-    cdc._footers.clear()
-    paths = [str(tmp_path / f"f{i}.parquet") for i in range(bound + 8)]
+def _held() -> int:
+    return sum(f.nbytes for f in cdc._footers.values())
+
+
+def test_footer_cache_holds_at_most_its_bound(tmp_path, monkeypatch):
+    """The footer cache never charges more than ``FOOTER_CACHE_BYTES``
+    and evicts the least recently used footer first."""
+    assert 0 < cdc.FOOTER_CACHE_BYTES <= 64 << 20
+    paths = [str(tmp_path / f"f{i}.parquet") for i in range(40)]
     for i, p in enumerate(paths):
         _keyed_file(p, range(i, i + 2))
+    one = cdc._footer(paths[0], cache=False).nbytes
+    assert one > 1000  # a charge in bytes, not a count
+    bound = 10 * one + one // 2  # fits 10 footers of this size, not 11
+    monkeypatch.setattr(cdc, "FOOTER_CACHE_BYTES", bound)
+    cdc._footers.clear()
     kept = cdc._footer(paths[0])
     for i, p in enumerate(paths[1:], 1):
         cdc._footer(p)
         cdc._footer(paths[0])  # most recently used: never evicted
-        assert len(cdc._footers) == min(i + 1, bound)
+        assert _held() <= bound
+        assert len(cdc._footers) == min(i + 1, 10)
     assert cdc._footer(paths[0]) is kept
     cached = {k[0] for k in cdc._footers}
     assert paths[1] not in cached and paths[-1] in cached
+
+
+def test_footer_cache_bounds_bytes_of_many_group_footers(tmp_path, monkeypatch):
+    """A footer's charge grows with its row groups, so a few many-group
+    footers fill the bound that many small ones share; one charged more
+    than the whole bound is read, probed correctly and never kept; a
+    read with ``cache=False`` (``describe``) caches nothing."""
+    small = [str(tmp_path / f"small{i}.parquet") for i in range(8)]
+    for i, p in enumerate(small):
+        _keyed_file(p, range(i, i + 2))
+    t = pa.table(
+        {
+            "conv_id": [f"conv-{i:06d}" for i in range(600)],
+            "_lsn": pa.array(range(600), pa.int64()),
+            "_deleted": [False] * 600,
+        }
+    )
+    big = [str(tmp_path / f"big{i}.parquet") for i in range(3)]
+    for p in big:
+        pq.write_table(t, p, row_group_size=2)  # 300 groups
+    cdc._footers.clear()
+    small_charge = cdc._footer(small[0], cache=False).nbytes
+    big_charge = cdc._footer(big[0], cache=False).nbytes
+    assert cdc._footers == {}
+    assert big_charge > 50 * small_charge
+    monkeypatch.setattr(cdc, "FOOTER_CACHE_BYTES", 2 * big_charge + 4 * small_charge)
+    for p in small + big:
+        cdc._footer(p)
+        assert _held() <= cdc.FOOTER_CACHE_BYTES
+    # the third big footer pushed out every small one and the first big
+    assert {k[0] for k in cdc._footers} == set(big[1:])
+    monkeypatch.setattr(cdc, "FOOTER_CACHE_BYTES", big_charge - 1)
+    cdc._footers.clear()
+    got = cdc._read_keys(big[0], t.schema, "conv_id", ["conv-000123", "conv-000599"])
+    assert got.equals(t.take([123, 599]))
+    assert cdc._footers == {}
 
 
 def test_footer_cache_stays_bounded_under_threads(tmp_path, monkeypatch):
@@ -334,11 +378,12 @@ def test_footer_cache_stays_bounded_under_threads(tmp_path, monkeypatch):
     import sys
     import threading
 
-    monkeypatch.setattr(cdc, "FOOTER_CACHE_FILES", 4)
-    cdc._footers.clear()
     paths = [str(tmp_path / f"f{i}.parquet") for i in range(12)]
     for i, p in enumerate(paths):
         _keyed_file(p, range(i + 1))  # file i holds i + 1 rows
+    bound = 4 * max(cdc._footer(p, cache=False).nbytes for p in paths)
+    monkeypatch.setattr(cdc, "FOOTER_CACHE_BYTES", bound)
+    cdc._footers.clear()
     wrong: list[str] = []
 
     def probe(seed: int) -> None:
@@ -359,7 +404,7 @@ def test_footer_cache_stays_bounded_under_threads(tmp_path, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(cdc._footers) <= 4
+    assert 0 < _held() <= bound
 
 
 #: Parquet writes in the lake-writing modules that write no lake data file
