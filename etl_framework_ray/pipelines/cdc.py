@@ -56,7 +56,15 @@ import pyarrow.parquet as pq
 import ray
 
 from ..context import DEFAULT_NUM_PARTITIONS, RunContext
-from ..functions.hashing import is_binary_like, salted_partition_ids, stable_hash_array
+from ..functions.hashing import (
+    coerce_keys,
+    decode_salt_map,
+    encode_salt_map,
+    is_binary_like,
+    key_partitions,
+    route_columns,
+    salted_partition_ids,
+)
 from ..sources.changelog import ChangeLog, Epoch
 from ..stages.lww import (
     distinct_key_count,
@@ -1262,10 +1270,7 @@ def _resalt_partition_task(
     driver's single manifest commit (2PC)."""
     _single_threaded_arrow()
     merged = merge_partition_files(list(files), lake_sch, key_cols)
-    # PK-less tables (append-only audit logs) route by their FIRST declared
-    # column — the same rule LakeWriter.append stamps pids with — so a
-    # reshard re-homes their rows consistently instead of crashing
-    route_cols = key_cols or (lake_sch.names[0],)
+    route_cols = route_columns(key_cols, lake_sch.names)
     keys_t = merged.select(list(route_cols[:2]))
     # full_salt (old + new) — rows previously salted INTO this partition
     # must keep their existing homes, only the new keys move
@@ -1294,13 +1299,12 @@ def _resalt_partition_task(
         moved[int(target)] = (path, live, zstats)
     kept = merged.filter(pa.array(kept_mask))
     if kept.num_rows:
-        kept_path, kept_live, kept_stats = write_part(kept, pid)
+        kept_path, _live, kept_stats = write_part(kept, pid)
     else:
-        kept_path, kept_live, kept_stats = None, 0, {}
+        kept_path, kept_stats = None, {}
     return {
         "pid": pid,
         "kept_path": kept_path,
-        "kept_live": kept_live,
         "kept_stats": kept_stats,
         "moved": moved,
     }
@@ -1753,10 +1757,7 @@ class CDCEngine:
                     if zstats:
                         fstats[m["path"]] = zstats
                 new_man.partitions[pid] = PartitionState(
-                    files=files,
-                    applied_lsn=epoch.epoch_id,
-                    rows=int(m["rows_live"]),
-                    file_stats=fstats,
+                    files=files, applied_lsn=epoch.epoch_id, file_stats=fstats
                 )
 
         try:
@@ -2189,19 +2190,15 @@ class CDCEngine:
                         out_dir, f"sorted-{pid:05d}-{epoch_id:012d}-c{i:04d}.parquet"
                     )
                     _write_data_file(sub, path)
-                    live = sub.num_rows - (pc.sum(sub.column(DELETED_COL)).as_py() or 0)
-                    out.append((path, int(live), zone.table_stats(sub, zcols)))
+                    out.append((path, zone.table_stats(sub, zcols)))
                 return {"pid": pid, "files": out}
             path = os.path.join(out_dir, f"base-{pid:05d}-{epoch_id:012d}.parquet")
             tmp = f"{path}.tmp-{os.getpid()}"
-            rows, tombstones, zstats = _write_merged_stream(
+            _rows, _tombstones, zstats = _write_merged_stream(
                 tmp, files, lake, key_cols, epoch_id=epoch_id, ttl=ttl
             )
             os.replace(tmp, path)
-            return {
-                "pid": pid,
-                "files": [(path, int(rows - tombstones), zstats)],
-            }
+            return {"pid": pid, "files": [(path, zstats)]}
 
         metas = ray.get([fold.remote(pid, man.partitions[pid].files) for pid in targets])
 
@@ -2209,10 +2206,9 @@ class CDCEngine:
             for m in metas:
                 self._retire_deltas(new_man, new_man.partitions[m["pid"]].files)
                 new_man.partitions[m["pid"]] = PartitionState(
-                    files=[p for p, _, _ in m["files"]],
+                    files=[p for p, _ in m["files"]],
                     applied_lsn=epoch_id,
-                    rows=sum(live for _, live, _ in m["files"]),
-                    file_stats={p: z for p, _, z in m["files"] if z},
+                    file_stats={p: z for p, z in m["files"] if z},
                 )
 
         self._commit(
@@ -2262,7 +2258,6 @@ class CDCEngine:
                 new_man.partitions[src] = PartitionState(
                     files=[kept],
                     applied_lsn=man.applied_lsn,
-                    rows=int(m["kept_live"]),
                     file_stats={kept: m["kept_stats"]} if m.get("kept_stats") else {},
                 )
         rows_moved = 0
@@ -2270,7 +2265,6 @@ class CDCEngine:
             for tpid, (path, live, zstats) in m["moved"].items():
                 st = new_man.partitions.setdefault(int(tpid), PartitionState())
                 st.files.append(path)
-                st.rows += int(live)
                 st.applied_lsn = man.applied_lsn
                 rows_moved += int(live)
                 if zstats:
@@ -2320,7 +2314,7 @@ class CDCEngine:
             return {}
         lake = man.schema
         key_cols = self.key_cols
-        known = self.salt_map
+        known = decode_salt_map(self.salt_map, lake.field(key_cols[0]).type)
 
         cand = ray.get(
             [
@@ -2328,13 +2322,13 @@ class CDCEngine:
                 for pid in affected
             ]
         )
-        new_keys = {
-            str(v): fanout for vals in cand for v in vals if str(v) not in known
-        }
+        new_keys = encode_salt_map(
+            {v: fanout for vals in cand for v in vals if v not in known}
+        )
         if not new_keys:
             return {}
 
-        salt_map = {**known, **new_keys}
+        salt_map = encode_salt_map(known) | new_keys
 
         def salt(new_man: Manifest) -> None:
             new_man.properties["salt_map"] = salt_map
@@ -2459,7 +2453,7 @@ class CDCEngine:
         man = self.manifest
         lake = man.schema
         key0 = self.key_cols[0]
-        vals = self._coerce_key_array(keys).to_pylist()
+        vals = coerce_keys(keys, lake.field(key0).type).to_pylist()
         per_pid = self._key_partitions(keys)
         # retained changefeed deltas live outside partitions[].files but
         # still carry the rows — route them by the pid in their basename
@@ -2524,7 +2518,6 @@ class CDCEngine:
                         new_files.append(f)
                         continue
                     ps.file_stats.pop(f, None)
-                    ps.rows -= r["live_removed"]
                     if r["new"] is not None:
                         new_files.append(r["new"])
                         if r["zstats"]:
@@ -2540,14 +2533,11 @@ class CDCEngine:
                         kept_entries.append({**e, "path": r["new"]})
                     # fully-purged retained delta: nothing left to serve
                 new_man.properties["retained_deltas"] = kept_entries
-            sm = dict(new_man.properties.get("salt_map", {}) or {})
-            before = len(sm)
-            for v in vals:
-                sm.pop(v, None)
-                sm.pop(str(v), None)
-            if len(sm) != before:
-                if sm:
-                    new_man.properties["salt_map"] = sm
+            salted = decode_salt_map(new_man.properties.get("salt_map", {}), lake.field(key0).type)
+            kept = {v: f for v, f in salted.items() if v not in vals}
+            if len(kept) != len(salted):
+                if kept:
+                    new_man.properties["salt_map"] = encode_salt_map(kept)
                 else:
                     new_man.properties.pop("salt_map", None)
 
@@ -2840,8 +2830,9 @@ class CDCEngine:
         One Ray task per partition verifies the manifest's claims against
         the files: every listed file exists with a readable footer, file
         names carry this partition's id and epoch LSNs at or below the
-        watermarks, and every row's ``hash(conv_id) % P`` routes to the
-        partition holding it (salt fanout respected). Files with zone-map
+        watermarks, and every row routes to the partition holding it —
+        its exact partition under the committed salt map, not just one
+        of its key's fanout partitions. Files with zone-map
         stats in the manifest get a containment audit: the recorded
         bounds must CONTAIN the file's actual values (too-tight bounds
         are the failure that makes predicate pushdown silently drop
@@ -2854,19 +2845,16 @@ class CDCEngine:
         n, "issues": [str, ...]}``; read-only, safe on a live table (a
         concurrent commit can only surface as a transient missing-file
         issue — rerun to confirm). Cost is one column-pruned scan of the
-        key column, parallel across partitions."""
+        (at most two) routing columns, parallel across partitions."""
         man = self.manifest
         issues: list[str] = []
         try:
             man.schema  # decodes schema_b64
         except Exception as e:
             issues.append(f"manifest schema undecodable: {e}")
-        # routing key: the leading PK, or the first declared column for
-        # PK-less tables (the same rule reshard uses)
-        key0 = self.key_cols[0] if self.key_cols else man.schema.names[0]
+        route_cols = route_columns(self.key_cols, man.schema.names)[:2]
         n_files = 0
         refs = []
-        salt_json = {str(k): int(v) for k, v in self.salt_map.items()}
         # the retention registry's files serve lagging consumers — a
         # missing one passes silently today and crashes a poll later
         for e_ in man.properties.get("retained_deltas", []) or []:
@@ -2890,8 +2878,8 @@ class CDCEngine:
                     int(part.applied_lsn),
                     int(man.applied_lsn),
                     int(man.num_partitions),
-                    salt_json,
-                    key0,
+                    self.salt_map,
+                    route_cols,
                     part.pruned_stats(),
                 )
             )
@@ -3029,47 +3017,14 @@ class CDCEngine:
         t = pa.concat_tables([normalize_table(pq.read_table(f), lake) for f in delta_files])
         return lww_reduce(t, self.key_cols, _lww_order(lake, LSN_COL))
 
-    def _coerce_key_array(self, keys: list) -> pa.Array:
-        """Coerce leading-PK value(s) to the key column's dtype. CLI /
-        JSON callers pass strings; the coercion mirrors the manifest-JSON
-        round-trip ``salted_partition_ids`` handles
-        (functions/hashing.py:66-73)."""
-        lake = self.manifest.schema
-        key0 = self.key_cols[0]
-        ktype = lake.field(key0).type
-        vals = list(keys)
-        try:
-            return pa.array(vals, ktype)
-        except (pa.ArrowInvalid, pa.ArrowTypeError):
-            try:
-                if pa.types.is_integer(ktype):
-                    vals = [int(v) for v in vals]
-                elif pa.types.is_floating(ktype):
-                    vals = [float(v) for v in vals]
-                return pa.array(vals, ktype)
-            except ValueError as e:
-                raise ValueError(
-                    f"key(s) {vals!r} not coercible to key column "
-                    f"{key0!r} of type {ktype}"
-                ) from e
-
     def _key_partitions(self, keys: list) -> dict[int, list]:
-        """THE key→partition router for leading-PK values: ``{pid: sorted
-        key values}`` in pid order, salt fanout included (a salted key is
-        listed under each of its fanout partitions). Serves
-        :meth:`lookup`, :meth:`purge` and the writer's delete scan."""
-        import numpy as np
-
-        arr = self._coerce_key_array(keys)
-        h = stable_hash_array(arr)
-        num_partitions = np.uint64(self.manifest.num_partitions)
-        salt_map = self.salt_map
-        per_pid: dict[int, set] = {}
-        for hv, v in zip(h, arr.to_pylist()):
-            fan = int(salt_map.get(v) or salt_map.get(str(v)) or 1)
-            for s in range(fan):
-                per_pid.setdefault(int((hv + np.uint64(s)) % num_partitions), set()).add(v)
-        return {pid: sorted(per_pid[pid]) for pid in sorted(per_pid)}
+        """``{pid: sorted key values}`` of leading-PK values (CLI / JSON
+        callers pass strings) under the committed salt map
+        (:func:`hashing.key_partitions`). Serves :meth:`lookup`,
+        :meth:`purge` and the writer's delete scan."""
+        man = self.manifest
+        arr = coerce_keys(keys, man.schema.field(self.key_cols[0]).type)
+        return key_partitions(arr, man.num_partitions, self.salt_map)
 
     def lookup(self, keys: list) -> pa.Table:
         """Point read by LEADING primary-key value(s) — the CDC lake's
@@ -3181,19 +3136,18 @@ def _fsck_partition_task(
     part_lsn: int,
     table_lsn: int,
     num_partitions: int,
-    salt_json: dict,
-    key0: str,
+    salt_map: dict,
+    route_cols: tuple,
     file_stats: dict | None = None,
 ) -> list:
     """Audit ONE partition's manifest-listed files: existence, readable
-    footer, row-level partition routing (every row's leading-key hash
-    must map to this pid — directly or via its salt fanout), per-file
-    epoch LSNs at or below the watermarks, and zone-map stats
-    containment (see :meth:`CDCEngine.fsck`). Returns a list of issue
-    strings."""
-    import numpy as np
-
+    footer, row-level partition routing (every row must route to this
+    pid under the committed salt map, :func:`salted_partition_ids` over
+    ``route_cols``), per-file epoch LSNs at or below the watermarks, and
+    zone-map stats containment (see :meth:`CDCEngine.fsck`). Returns a
+    list of issue strings."""
     _single_threaded_arrow()
+    key0 = route_cols[0]
     issues: list[str] = []
     for f in files:
         base = os.path.basename(f)
@@ -3201,7 +3155,7 @@ def _fsck_partition_task(
             issues.append(f"pid {pid}: missing file {base}")
             continue
         try:
-            t = pq.read_table(f, columns=[key0])
+            t = pq.read_table(f, columns=list(route_cols))
         except Exception as e:  # unreadable footer/corruption
             issues.append(f"pid {pid}: unreadable {base}: {e}")
             continue
@@ -3215,30 +3169,10 @@ def _fsck_partition_task(
                 )
             if int(m.group(2)) != pid:
                 issues.append(f"pid {pid}: {base} names partition {m.group(2)}")
-        if t.num_rows:
-            h = stable_hash_array(t.column(key0))
-            home = (h % np.uint64(num_partitions)).astype(np.int64)
-            bad = home != pid
-            if bad.any():
-                # salted conversations legitimately land on fanout pids —
-                # validate each UNIQUE off-home value once, not per row (a
-                # hot salted conversation contributes thousands of rows)
-                uniq_vals, first_idx = np.unique(
-                    np.asarray(t.column(key0).to_numpy(zero_copy_only=False))[bad],
-                    return_index=True,
-                )
-                bad_h = h[bad][first_idx]
-                for v, hv in zip(uniq_vals, bad_h):
-                    fan = int(salt_json.get(str(v)) or 1)  # keys pre-stringified
-                    ok = any(
-                        int((hv + np.uint64(s)) % np.uint64(num_partitions)) == pid
-                        for s in range(fan)
-                    )
-                    if not ok:
-                        issues.append(
-                            f"pid {pid}: row {key0}={v!r} routed to wrong partition"
-                        )
-                        break  # one example per partition is enough
+        bad = (salted_partition_ids(t, route_cols, num_partitions, salt_map) != pid).nonzero()[0]
+        if len(bad):  # one example per file is enough
+            v = t.column(key0)[int(bad[0])].as_py()
+            issues.append(f"pid {pid}: row {key0}={v!r} routed to wrong partition")
     if part_lsn > table_lsn:
         issues.append(f"pid {pid}: partition watermark {part_lsn} above table {table_lsn}")
     return issues

@@ -67,7 +67,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
-from ..functions.hashing import partition_ids, stable_hash_array
+from ..functions.hashing import partition_ids, salted_key_homes, stable_hash_array
 from ..stages.util import in_sorted
 
 #: public schema of the maintained view (matches publish.conversation_rollup
@@ -85,28 +85,6 @@ VIEW_SCHEMA = pa.schema(
 _MANIFEST = "_view_manifest.json"
 _CHANGES_DIR = "_changes"
 _METRICS = "_view_metrics.jsonl"
-
-
-def _salt_fanout(salt_map: dict, num_partitions: int) -> dict[int, list[tuple[int, list[int]]]]:
-    """Hot-key salting as the view sees it: a salted key's rows fan out
-    across ``(hash+s) % P`` partitions while its VIEW row lives with its
-    home partition ``hash % P``. Returns ``{home pid: [(key hash, fanout
-    pids other than home)]}`` for every key in ``salt_map``; the task
-    owning the home pid reads those partitions' changefeed and file
-    stacks too (rows are filtered back down by touched/pid inside the
-    task)."""
-    out: dict[int, list[tuple[int, list[int]]]] = {}
-    if not salt_map:
-        return out
-    sm_vals = np.array(list(salt_map.keys()), dtype=object)
-    for val, h in zip(sm_vals, stable_hash_array(sm_vals)):
-        home = int(h % np.uint64(num_partitions))
-        fanout = {
-            int((h + np.uint64(s)) % np.uint64(num_partitions))
-            for s in range(int(salt_map[val]))
-        }
-        out.setdefault(home, []).append((int(h), sorted(fanout - {home})))
-    return out
 
 
 def _prune_view_dir(dirpath: str, live: set[str], grace_s: float) -> None:
@@ -293,12 +271,6 @@ def _live_rows(chunk: pa.Table, key: str, num_partitions: int, pid: int, touched
     return live.filter(pa.array(keep))
 
 
-def _write_atomic(t: pa.Table, path: str) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    pq.write_table(t, tmp)
-    os.replace(tmp, path)
-
-
 def rebuild_partition(ctx: dict, item: dict) -> dict:
     """Recompute one touched view partition: fold the kernel over the
     touched conversations' merged lake rows, splice in the untouched
@@ -307,7 +279,7 @@ def rebuild_partition(ctx: dict, item: dict) -> dict:
     shared context, ``item`` this partition's changefeed files, file
     stacks and output paths. Returns None, writing nothing, when no
     touched key is homed here."""
-    from .cdc import partition_chunks
+    from .cdc import _write_data_file, partition_chunks
 
     inputs = _partition_inputs(ctx, item)
     if inputs is None:
@@ -337,7 +309,7 @@ def rebuild_partition(ctx: dict, item: dict) -> dict:
                 pc.invert(pc.is_in(old_touched, value_set=pc.unique(fresh.column("conv_id"))))
             ).cast(pa.string())
     out = pa.concat_tables(pieces).sort_by("conv_id")
-    _write_atomic(out, item["out"])
+    _write_data_file(out, item["out"])
     delta_path = None
     if item["delta_out"] and (fresh.num_rows or len(gone)):
         u_t = pa.table(
@@ -357,7 +329,7 @@ def rebuild_partition(ctx: dict, item: dict) -> dict:
                 },
             }
         )
-        _write_atomic(pa.concat_tables([u_t, d_t]).sort_by("conv_id"), item["delta_out"])
+        _write_data_file(pa.concat_tables([u_t, d_t]).sort_by("conv_id"), item["delta_out"])
         delta_path = item["delta_out"]
     return {
         "pid": pid,
@@ -719,7 +691,10 @@ class MaintainedView:
         deltas: dict[str, list[str]] = {} if full else dict(state["deltas"])
         delta_floor = version if full else int(state["delta_floor"])
 
-        fanouts = [_salt_fanout(eng.salt_map, P) for eng in self.sources]
+        fanouts = [
+            salted_key_homes(eng.salt_map, man.schema.field(eng.key_cols[0]).type, P)
+            for eng, man in zip(self.sources, mans)
+        ]
 
         def stack(man, pid: int) -> list[str]:
             return list(man.partitions[pid].files) if pid in man.partitions else []
@@ -2078,7 +2053,7 @@ def join_partition(ctx: dict, item: dict) -> dict:
     streamed chunk of the fact side, splice in the untouched rows of the
     previous view file and write the new file. Returns None, writing
     nothing, when no touched key is homed here."""
-    from .cdc import partition_chunks
+    from .cdc import _write_data_file, partition_chunks
 
     inputs = _partition_inputs(ctx, item)
     if inputs is None:
@@ -2114,7 +2089,7 @@ def join_partition(ctx: dict, item: dict) -> dict:
     out = (pa.concat_tables(pieces) if pieces else out_schema.empty_table()).sort_by(
         [(c, "ascending") for c in l_keys]
     )
-    _write_atomic(out, item["out"])
+    _write_data_file(out, item["out"])
     return {
         "pid": pid,
         "rows": out.num_rows,
@@ -2155,7 +2130,7 @@ class IncrementalJoin(MaintainedView):
       and left joins are row-local on the fact side — so peak memory is
       O(chunk + dim partition + output), never O(fact partition input).
     - Salted hot keys on either engine pull their fanout partitions'
-      files into the home-partition task (:func:`_salt_fanout`).
+      files into the home-partition task (``hashing.salted_key_homes``).
 
     The join and the rollup family share one implementation: this is the
     two-source :class:`MaintainedView`, so state, commit, graced pruning,

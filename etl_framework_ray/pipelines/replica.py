@@ -48,7 +48,6 @@ from .incremental import (
     _read_dir,
     _read_dir_arrow,
     _splice_results,
-    _write_atomic,
 )
 
 _MANIFEST = "_replica_manifest.json"
@@ -61,7 +60,7 @@ def _splice_task(rows, pid: int, old_file: str | None, out: str) -> dict:
     the old file forward (``old_file=None`` for seeds). Raw task (not a
     Dataset stage): the fan-out is O(touched partitions) driver-listed
     slices."""
-    from .cdc import _single_threaded_arrow
+    from .cdc import _single_threaded_arrow, _write_data_file
 
     _single_threaded_arrow()
     import pyarrow.compute as pc
@@ -75,7 +74,7 @@ def _splice_task(rows, pid: int, old_file: str | None, out: str) -> dict:
         if kept.num_rows:
             pieces.append(kept)
     t = pa.concat_tables(pieces, promote_options="permissive").sort_by("conv_id")
-    _write_atomic(t, out)
+    _write_data_file(t, out)
     return {"pid": pid, "rows": t.num_rows, "path": out}
 
 

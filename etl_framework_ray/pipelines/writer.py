@@ -34,7 +34,7 @@ import pyarrow.parquet as pq
 import ray
 
 from ..context import RunContext
-from ..functions.hashing import partition_ids
+from ..functions.hashing import route_columns, salted_partition_ids
 from ..functions.quality import DQGate
 from ..sources.changelog import Epoch, Segment
 from ..state.manifest import Manifest, PartitionState
@@ -132,13 +132,12 @@ def _stage_segment_task(
     return {"path": path, "lo": lo, "hi": hi, "rows": n, "counts": counts}
 
 
-def _add_staged(man: Manifest, staged: dict[int, list[tuple[str, int, dict]]]) -> None:
-    """Add staged ``(path, rows, zone stats)`` files to ``man``'s partitions."""
+def _add_staged(man: Manifest, staged: dict[int, list[tuple[str, dict]]]) -> None:
+    """Add staged ``(path, zone stats)`` files to ``man``'s partitions."""
     for pid, files in staged.items():
         st = man.partitions.setdefault(pid, PartitionState())
-        for f, n, zstats in files:
+        for f, zstats in files:
             st.files.append(f)
-            st.rows += n
             if zstats:
                 st.file_stats[f] = zstats
 
@@ -213,9 +212,7 @@ class LakeWriter:
         the staged files invisible, so ERROR-before-visibility matches the
         reference's pre-pass gate (writer.py:31-40) at half the cost.
         Returns rows written."""
-        names = self.spec.column_names
-        key0 = self.spec.primary_key[0] if self.spec.primary_key else names[0]
-        staged, rows = self._stage_files(ds, "overwrite", 0, key0)
+        staged, rows = self._stage_files(ds, "overwrite", 0)
 
         def replace_all(new_man: Manifest) -> None:
             new_man.partitions = {}
@@ -232,10 +229,12 @@ class LakeWriter:
         return rows
 
     def _stage_files(
-        self, ds: "ray.data.Dataset", kind: str, lsn: int, key0: str
-    ) -> tuple[dict[int, list[tuple[str, int, dict]]], int]:
+        self, ds: "ray.data.Dataset", kind: str, lsn: int
+    ) -> tuple[dict[int, list[tuple[str, dict]]], int]:
         """Stage ``ds`` for an overwrite or append: project onto the
-        declared columns, stamp ``lsn``, route by ``key0`` and write hive
+        declared columns, stamp ``lsn``, route each row like the CDC map
+        does (``hashing.salted_partition_ids`` over the table's routing
+        columns and committed salt map) and write hive
         ``pid=`` Parquet files (``cdc.lake_parquet_args``)
         under a fresh ``data/<kind>-<uuid>`` directory, with the DQ gate
         fused into the same pass — ``finalize`` raises BEFORE any commit,
@@ -249,13 +248,15 @@ class LakeWriter:
         man = self.engine.manifest
         names = self.spec.column_names
         num_partitions = man.num_partitions
+        route_cols = route_columns(self.spec.primary_key, names)[:2]
+        salt_map = self.engine.salt_map
 
         def stage(batch: pa.Table) -> pa.Table:
             batch = batch.select(names)  # declared order (writer.py:37)
             n = batch.num_rows
             batch = batch.append_column(LSN_COL, pa.array([lsn] * n, pa.int64()))
             batch = batch.append_column(DELETED_COL, pa.array([False] * n, pa.bool_()))
-            pid = partition_ids(batch.column(key0), num_partitions)
+            pid = salted_partition_ids(batch, route_cols, num_partitions, salt_map)
             return batch.append_column("pid", pa.array(pid, pa.int64()))
 
         gate = self._make_gate()
@@ -274,13 +275,12 @@ class LakeWriter:
             raise
         gate.finalize(handle)  # DQError propagates pre-commit; staged files stay invisible
 
-        staged: dict[int, list[tuple[str, int, dict]]] = {}
+        staged: dict[int, list[tuple[str, dict]]] = {}
         rows = 0
         for f in sorted(glob.glob(os.path.join(out_dir, "**", "*.parquet"), recursive=True)):
             pid = int(f.split("pid=")[1].split(os.sep)[0])
-            n = pq.read_metadata(f).num_rows
-            staged.setdefault(pid, []).append((f, n, zone.stats_from_parquet_meta(f, names)))
-            rows += n
+            rows += pq.read_metadata(f).num_rows
+            staged.setdefault(pid, []).append((f, zone.stats_from_parquet_meta(f, names)))
         return staged, rows
 
     # ------------------------------------------------------------------
@@ -719,9 +719,7 @@ class LakeWriter:
         man = self.engine.manifest
         num_partitions = man.num_partitions
         staged_schema_b64 = man.schema_b64  # shape the staged files assume
-        staged, rows = self._stage_files(
-            ds, "append", man.applied_lsn + 1, self.spec.column_names[0]
-        )
+        staged, rows = self._stage_files(ds, "append", man.applied_lsn + 1)
 
         for _attempt in range(10):
             man = self.engine.manifest

@@ -50,22 +50,20 @@ class PartitionState:
 
     files: list[str] = field(default_factory=list)
     applied_lsn: int = 0
-    rows: int = 0  # live rows (tombstones excluded)
     file_stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        d = {"files": self.files, "applied_lsn": self.applied_lsn, "rows": self.rows}
+        d = {"files": self.files, "applied_lsn": self.applied_lsn}
         if self.file_stats:
             d["file_stats"] = self.file_stats
         return d
 
     @staticmethod
     def from_json(d: dict) -> "PartitionState":
+        # manifests written before the live-row count was dropped carry
+        # a "rows" field; it is ignored
         return PartitionState(
-            list(d["files"]),
-            int(d["applied_lsn"]),
-            int(d["rows"]),
-            dict(d.get("file_stats", {})),
+            list(d["files"]), int(d["applied_lsn"]), dict(d.get("file_stats", {}))
         )
 
     def pruned_stats(self) -> dict:

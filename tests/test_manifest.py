@@ -55,12 +55,27 @@ def _read_current(store: ManifestStore) -> str:
 def test_roundtrip(store, tmp_path):
     assert store.load() is None
     m = _man()
-    m.partitions[3] = PartitionState(files=["/x/f.parquet"], applied_lsn=7, rows=10)
+    m.partitions[3] = PartitionState(files=["/x/f.parquet"], applied_lsn=7)
     store.commit(m)
     got = store.load()
     assert got.version == 1
     assert got.partitions[3].files == ["/x/f.parquet"]
     assert got.schema.names == ["a"]
+
+
+def test_manifest_with_partition_row_counts_loads(store):
+    """A manifest written while partitions carried a live-row count
+    ("rows") still loads; the count is ignored and not written back."""
+    m = _man()
+    m.partitions[2] = PartitionState(files=["/x/g.parquet"], applied_lsn=3)
+    d = m.to_json()
+    d["partitions"]["2"]["rows"] = 124
+    store.backend.ensure_dir(store.manifest_dir)
+    assert store.backend.put_if_absent(store._vpath(1), json.dumps(d).encode())
+    got = store.load()
+    assert got.version == 1
+    assert got.partitions[2] == PartitionState(files=["/x/g.parquet"], applied_lsn=3)
+    assert "rows" not in got.partitions[2].to_json()
 
 
 def test_version_conflict_rejected(store):
@@ -81,7 +96,7 @@ def test_uncommitted_files_invisible_and_vacuumed(store, tmp_path):
     live.write_bytes(b"x")
     orphan.write_bytes(b"y")
     m = _man(1)
-    m.partitions[1] = PartitionState(files=[str(live)], applied_lsn=1, rows=1)
+    m.partitions[1] = PartitionState(files=[str(live)], applied_lsn=1)
     store.commit(m)
     assert store.load().data_files() == [str(live)]  # orphan never visible
     removed = store.vacuum(m)

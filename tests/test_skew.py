@@ -169,7 +169,8 @@ def test_salt_migration_crash_before_commit_is_invisible(tmp_path):
 
     # simulate the crash: stage the migration files, never commit
     man = eng.manifest
-    hot_pid = max(man.partitions, key=lambda p: man.partitions[p].rows)
+    live = np.bincount(partition_ids(before.column("conv_id"), man.num_partitions))
+    hot_pid = int(np.argmax(live))
     _ray.get(
         _resalt_partition_task.remote(
             eng.table_dir,

@@ -57,7 +57,8 @@ def test_views_have_one_driver():
     }
     assert remote == {"_view_partition_task"}
 
-    # data files go through _write_atomic; manifests through _commit_dir
+    # data files go through the lake's cdc._write_data_file; manifests
+    # through _commit_dir
     replaces = {
         (rel, fn)
         for rel, fn, call in _calls("replace")
@@ -66,9 +67,11 @@ def test_views_have_one_driver():
         and isinstance(call.func.value, ast.Name)
         and call.func.value.id == "os"
     }
-    assert replaces == {
-        ("pipelines/incremental.py", "_write_atomic"),
-        ("pipelines/incremental.py", "_commit_dir"),
+    assert replaces == {("pipelines/incremental.py", "_commit_dir")}
+    assert {c for c in _callers("_write_data_file") if c[0] in VIEW_MODULES} == {
+        ("pipelines/incremental.py", "rebuild_partition"),
+        ("pipelines/incremental.py", "join_partition"),
+        ("pipelines/replica.py", "_splice_task"),
     }
 
 
