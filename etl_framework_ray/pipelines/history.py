@@ -43,7 +43,6 @@ from ..state.schema import ColumnSpec, TableSpec, TRANSCRIPTS
 from ..stages.lww import last_per_key_mask
 from .cdc import (
     CDCEngine,
-    DELETED_COL,
     _iter_table_chunks,
     _partition_dataset,
     merge_partition_files,
@@ -239,8 +238,7 @@ class HistoryTable:
         ]
 
         def per_part(item: dict):
-            t = merge_partition_files(item["files"], lake, key_cols)
-            t = t.filter(pc.invert(t.column(DELETED_COL)))
+            t = merge_partition_files(item["files"], lake, key_cols, live=True)
             if t.num_rows:
                 t = _history_intervals(t, base_key)
                 t = _interval_filter(t, asof, current_only)

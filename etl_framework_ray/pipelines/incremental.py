@@ -30,12 +30,13 @@ made incremental by the CDC lineage.
 
 Scale shape (100-TB audit):
 - An advance is ONE round of Ray tasks: the driver lists the new
-  changefeed files per partition (footer-free: names only) and starts one
-  task per partition that has any. Each task derives its touched
+  changefeed files per partition (footer-free: names only) and packs the
+  partitions that have any onto at most one task per cluster CPU, by the
+  bytes of their files. Each partition derives its touched
   conversations itself — the unique conversation-id hashes of its
   changefeed files that are homed in its partition — so no touched set
-  is gathered or broadcast, and a task that finds none keeps the old
-  file and counts as untouched.
+  is gathered or broadcast, and a partition that finds none keeps the
+  old file and counts as untouched.
 - Recompute inside that task: merge-on-read (one chunk for a small
   stack, a streamed k-way merge above that; peak memory O(chunk x
   files)), a vectorized partial rollup per chunk, one combine per task.
@@ -153,7 +154,7 @@ def _audit_dir(
             issues.append(f"pid {pid_s}: missing {label}file {os.path.basename(f)}")
             continue
         try:
-            t = pq.read_table(f, columns=[key_col])
+            t = _read_view_file(f, [key_col])
         except Exception as e:
             issues.append(f"pid {pid_s}: unreadable {os.path.basename(f)}: {e}")
             continue
@@ -162,8 +163,17 @@ def _audit_dir(
     return len(state["files"]), issues
 
 
+def _read_view_file(path: str, columns: list[str] | None = None) -> pa.Table:
+    """One view or replica partition file, read by a direct reader (no
+    dataset discovery per call). Asked-for columns the file lacks raise
+    ``KeyError``."""
+    with pq.ParquetFile(path) as pf:
+        t = pf.read(columns=columns)
+    return t if columns is None else t.select(columns)
+
+
 def _read_file(item: dict):
-    yield pq.read_table(item["files"][0])
+    yield _read_view_file(item["files"][0])
 
 
 def _read_dir(state: dict | None, schema: pa.Schema) -> "ray.data.Dataset":
@@ -182,7 +192,7 @@ def _read_dir_arrow(state: dict | None, schema: pa.Schema, sort_keys: list[str])
     files = sorted(state["files"].values()) if state else []
     if not files:
         return schema.empty_table()
-    t = pa.concat_tables([pq.read_table(f) for f in files])
+    t = pa.concat_tables([_read_view_file(f) for f in files])
     return t.sort_by([(c, "ascending") for c in sort_keys])
 
 
@@ -203,27 +213,35 @@ def _splice_results(files: dict[str, str], results: list[dict]) -> int:
 
 
 @ray.remote
-def _view_partition_task(body, ctx: dict, item: dict) -> dict:
+def _view_partition_task(body, ctx: dict, items: list[dict]) -> list:
     """Run one view partition body (:func:`rebuild_partition`,
-    :func:`join_partition`) in a pool worker."""
+    :func:`join_partition`) over a packed group of partition items, one
+    after the other, in a pool worker."""
     from .cdc import _single_threaded_arrow
 
     _single_threaded_arrow()
-    return body(ctx, item)
+    return [body(ctx, item) for item in items]
 
 
 def _run_partitions(body, ctx: dict, items: list[dict]) -> list[dict]:
-    """THE one round of an advance: direct tasks, one per partition with
-    changefeed files (or, on a rebuild, with lake files), sharing ONE
-    ``ray.put`` context. Each task discovers its own touched keys
+    """THE one round of an advance over the partitions with changefeed
+    files (or, on a rebuild, with lake files), sharing ONE ``ray.put``
+    context. The items are packed by ``cdc._pack_partitions`` (the
+    reduce's and the reads' packer), loaded by the bytes of the files
+    they list, onto at most one task per cluster CPU, so a trickle
+    advance pays a task's fixed cost per CPU, not per partition. Each
+    item discovers its own touched keys
     (:func:`_partition_inputs`), so no discovery round runs before it;
-    like the lake reduce (``cdc._apply_pid_task``) partitions without
-    changes get no task, so an advance costs in proportion to the
-    partitions it touches. Returns the meta dicts of the partitions that
-    were rewritten."""
+    like the lake reduce, partitions without changes get no item, so an
+    advance costs in proportion to the partitions it touches. Returns the
+    meta dicts of the partitions that were rewritten."""
+    from .cdc import _item_bytes, _pack_partitions
+
+    loads = np.array([1 + _item_bytes(it) for it in items], dtype=np.int64)
+    groups = _pack_partitions(loads, int(ray.cluster_resources().get("CPU", 1)))
     ctx_ref = ray.put(ctx)
-    metas = ray.get([_view_partition_task.remote(body, ctx_ref, it) for it in items])
-    return [m for m in metas if m is not None]
+    refs = [_view_partition_task.remote(body, ctx_ref, [items[i] for i in g]) for g in groups]
+    return [m for metas in ray.get(refs) for m in metas if m is not None]
 
 
 def _partition_inputs(ctx: dict, item: dict):
@@ -235,11 +253,14 @@ def _partition_inputs(ctx: dict, item: dict):
     plus the fanout partitions' files of each touched salted key homed
     here. Returns None when the changes hold no key homed here (only
     another home's salted rows): the partition keeps its old file."""
+    from .cdc import _footer, _parquet
+
     pid, key, P = item["pid"], ctx["key"], np.uint64(ctx["num_partitions"])
     touched = None
     if item["changes"] is not None:
+        # the footer read fills the cache that partition_chunks reads next
         hashes = [
-            stable_hash_array(pq.read_table(f, columns=[key]).column(key))
+            stable_hash_array(_parquet(f, _footer(f)).read(columns=[key]).column(key))
             for f in item["changes"]
         ]
         h = np.unique(np.concatenate(hashes)) if hashes else np.array([], np.uint64)
@@ -255,15 +276,11 @@ def _partition_inputs(ctx: dict, item: dict):
     return touched, stacks
 
 
-def _live_rows(chunk: pa.Table, key: str, num_partitions: int, pid: int, touched) -> pa.Table:
-    """Live rows of ``chunk`` whose UNSALTED ``key`` hash routes to view
-    partition ``pid`` and, unless ``touched`` is None (a rebuild), is in
-    the sorted touched-hash array."""
-    from .cdc import DELETED_COL
-
-    live = chunk.filter(pc.invert(chunk.column(DELETED_COL)))
-    if not live.num_rows:
-        return live
+def _live_rows(live: pa.Table, key: str, num_partitions: int, pid: int, touched) -> pa.Table:
+    """Rows of a live merged chunk (``partition_chunks(..., live=True)``)
+    whose UNSALTED ``key`` hash routes to view partition ``pid`` and,
+    unless ``touched`` is None (a rebuild), is in the sorted touched-hash
+    array."""
     h = stable_hash_array(live.column(key))
     keep = (h % np.uint64(num_partitions)).astype(np.int64) == pid
     if touched is not None:
@@ -287,7 +304,7 @@ def rebuild_partition(ctx: dict, item: dict) -> dict:
     touched, (files,) = inputs
     pid, kernel, version = item["pid"], ctx["kernel"], ctx["version"]
     partials = []
-    for chunk in partition_chunks(files, *ctx["sources"][0]):
+    for chunk in partition_chunks(files, *ctx["sources"][0], live=True):
         sel = _live_rows(chunk, "conv_id", ctx["num_partitions"], pid, touched)
         if sel.num_rows:
             partials.append(kernel.partial(sel))
@@ -296,7 +313,7 @@ def rebuild_partition(ctx: dict, item: dict) -> dict:
     pieces = [fresh]
     gone = pa.array([], pa.string())
     if touched is not None and item["old_file"]:
-        old = pq.read_table(item["old_file"])
+        old = _read_view_file(item["old_file"])
         touched_mask = in_sorted(stable_hash_array(old.column("conv_id")), touched)
         old_kept = old.filter(pa.array(~touched_mask))
         if old_kept.num_rows:
@@ -2065,12 +2082,12 @@ def join_partition(ctx: dict, item: dict) -> dict:
     r_live = pa.concat_tables(
         [
             _live_rows(c, on, P, pid, touched).select(r_cols)
-            for c in partition_chunks(r_files, r_schema, r_keys)
+            for c in partition_chunks(r_files, r_schema, r_keys, live=True)
         ]
         or [out_schema.empty_table().select(r_cols)]
     )
     pieces: list[pa.Table] = []
-    for chunk in partition_chunks(l_files, l_schema, l_keys):
+    for chunk in partition_chunks(l_files, l_schema, l_keys, live=True):
         sel = _live_rows(chunk, on, P, pid, touched).select(ctx["left_names"])
         if sel.num_rows:
             j = sel.join(
@@ -2082,7 +2099,7 @@ def join_partition(ctx: dict, item: dict) -> dict:
             if j.num_rows:
                 pieces.append(j.select(out_schema.names).cast(out_schema))
     if touched is not None and item["old_file"]:
-        old = pq.read_table(item["old_file"])
+        old = _read_view_file(item["old_file"])
         old_kept = old.filter(pa.array(~in_sorted(stable_hash_array(old.column(on)), touched)))
         if old_kept.num_rows:
             pieces.append(old_kept)

@@ -23,7 +23,6 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -85,9 +84,8 @@ def publish_snapshot(
         path = os.path.join(item["part_dir"], "data.parquet")
         tmp = f"{path}.tmp-{os.getpid()}"
         with pq.ParquetWriter(tmp, public) as writer:
-            for chunk in partition_chunks(item["files"], lake, key_cols):
-                chunk = chunk.filter(pc.invert(chunk.column("_deleted"))).select(public.names)
-                writer.write_table(chunk)
+            for chunk in partition_chunks(item["files"], lake, key_cols, live=True):
+                writer.write_table(chunk.select(public.names))
         os.replace(tmp, path)
         with open(os.path.join(item["part_dir"], "_SUCCESS"), "w") as f:
             f.write("ok")

@@ -47,6 +47,7 @@ from .incremental import (
     _load_dir,
     _read_dir,
     _read_dir_arrow,
+    _read_view_file,
     _splice_results,
 )
 
@@ -69,7 +70,7 @@ def _splice_task(rows, pid: int, old_file: str | None, out: str) -> dict:
     ins = rows.filter(pc.equal(rows.column("op"), "U")).drop_columns(["op", "version"])
     pieces = [ins]
     if old_file:
-        old = pq.read_table(old_file)
+        old = _read_view_file(old_file)
         kept = old.filter(pc.invert(pc.is_in(old.column("conv_id"), value_set=convs)))
         if kept.num_rows:
             pieces.append(kept)

@@ -719,6 +719,7 @@ class LakeWriter:
         man = self.engine.manifest
         num_partitions = man.num_partitions
         staged_schema_b64 = man.schema_b64  # shape the staged files assume
+        staged_salt_map = self.engine.salt_map  # the placement they were routed by
         staged, rows = self._stage_files(ds, "append", man.applied_lsn + 1)
 
         for _attempt in range(10):
@@ -731,18 +732,25 @@ class LakeWriter:
                     raise  # not a concurrent advance — a real protocol error
                 # appends only commute with commits that keep the table's
                 # SHAPE: the staged pid= files were hash-routed with
-                # num_partitions and projected onto the schema captured at
-                # staging time. A concurrent reshard (or schema change)
-                # invalidates that routing — retrying would silently file
-                # rows into wrong partitions (breaking partition-pruned
-                # reads and future merges), so fail loud and direct the
-                # caller to restage (IncrementalRollup.advance's guard).
+                # num_partitions and the salt map, and projected onto the
+                # schema captured at staging time. A concurrent reshard,
+                # salting or schema change invalidates that routing —
+                # retrying would silently file rows into wrong partitions
+                # (breaking partition-pruned reads and future merges), so
+                # fail loud and direct the caller to restage
+                # (IncrementalRollup.advance's guard).
                 if latest.num_partitions != num_partitions:
                     raise CommitConflict(
                         f"append to {self.spec.name!r} raced a reshard "
                         f"({num_partitions} → {latest.num_partitions} partitions); "
                         "staged files were routed with the stale partition count — "
                         "re-run the append against the fresh table"
+                    ) from None
+                if latest.properties.get("salt_map", {}) != staged_salt_map:
+                    raise CommitConflict(
+                        f"append to {self.spec.name!r} raced a salt-map change; "
+                        "staged rows of a newly salted key sit at its home "
+                        "partition — re-run the append against the fresh table"
                     ) from None
                 if latest.schema_b64 != staged_schema_b64:
                     raise CommitConflict(

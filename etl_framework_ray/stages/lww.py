@@ -131,6 +131,7 @@ def lww_reduce(
     tbl: pa.Table,
     key_cols: tuple[str, ...] = ("conv_id", "turn_idx"),
     order_cols: tuple[str, ...] = ("ts", "lsn"),
+    drop: str | None = None,
 ) -> pa.Table:
     """Keep, per key tuple, the single row with the greatest order tuple.
 
@@ -139,7 +140,19 @@ def lww_reduce(
     correct. Used both as the per-batch shuffle *combiner* (cuts shuffle
     bytes for hot conversations before the groupby) and as the
     per-partition merge reduction.
+
+    ``drop`` names a boolean column (a merge-on-read's tombstone flag):
+    survivors where it is true or NULL are left out of the one gather, so
+    the result equals ``lww_reduce(tbl).filter(~tbl[drop])`` without a
+    second full-width copy. Only the survivors' flags are read.
     """
-    if tbl.num_rows <= 1:
+    if tbl.num_rows <= 1 and drop is None:
         return tbl
-    return tbl.take(pa.array(lww_survivor_indices(tbl, key_cols, order_cols)))
+    if tbl.num_rows <= 1:
+        idx = np.arange(tbl.num_rows)
+    else:
+        idx = lww_survivor_indices(tbl, key_cols, order_cols)
+    if drop is not None:
+        dead = pc.fill_null(tbl.column(drop).take(idx), True)
+        idx = idx[~dead.to_numpy(zero_copy_only=False)]
+    return tbl.take(pa.array(idx))

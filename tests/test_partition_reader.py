@@ -69,10 +69,11 @@ def test_partition_read_has_one_implementation():
     assert _callers("_is_cdc_sorted") == reader
     assert _callers("iter_merged_partition") == reader
     assert _callers("from_items") == {("pipelines/cdc.py", "_partition_dataset")}
-    # one packer for the reduce and the reads
+    # one packer for the reduce, the reads and the view round
     assert _callers("_pack_partitions") == {
         ("pipelines/cdc.py", "apply_epoch"),
         ("pipelines/cdc.py", "_partition_dataset"),
+        ("pipelines/incremental.py", "_run_partitions"),
     }
 
 

@@ -246,3 +246,62 @@ def _reads_salt_map_keys(node: ast.AST) -> bool:
     if isinstance(node, ast.Dict):
         return any(k is None and _names_salt_map(v) for k, v in zip(node.keys, node.values))
     return False
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_append_raced_by_salting_fails_loud_then_lands(tmp_path):
+    """An append staged before a concurrent ``mitigate_skew`` salted its
+    key routed that key's rows to the home partition: its rebase must
+    refuse, not commit them there. A fresh append then lands where the
+    salt map says, and the table equals the oracle."""
+    from etl_framework_ray.state.manifest import CommitConflict
+
+    spec = _spec(pa.int64())
+    log = _skewed_log(pa.int64())
+    clog = ChangeLog(str(tmp_path / "log"))
+    clog.write_segments(log, segment_rows=500)
+    table = str(tmp_path / "ledger")
+    eng = CDCEngine(table, spec=spec, num_partitions=P, compact_every=100)
+    eng.replay(clog, segments_per_epoch=1)
+    assert eng.salt_map == {}
+
+    n = 200
+    extra = pa.table(
+        {
+            "acct": pa.array([HOT] * n, pa.int64()),
+            "seq": pa.array(np.arange(10_000, 10_000 + n), pa.int32()),
+            "amount": pa.array(np.arange(n), pa.int64()),
+        }
+    )
+    w = LakeWriter.from_engine(eng)
+    store = w.engine.store
+    orig_commit = store.commit
+    raced = {"done": False}
+
+    def commit_with_salting(man, *a, **k):
+        # between the append's staging and its commit, a second engine
+        # salts the hot key the staged rows carry
+        if not raced["done"]:
+            raced["done"] = True
+            other = CDCEngine(table, spec=spec, num_partitions=P)
+            assert str(HOT) in other.mitigate_skew()
+        return orig_commit(man, *a, **k)
+
+    store.commit = commit_with_salting
+    try:
+        with pytest.raises(CommitConflict, match="salt"):
+            w.append(ray.data.from_arrow(extra))
+    finally:
+        store.commit = orig_commit
+
+    def oracle(*tables: pa.Table) -> list[dict]:
+        t = pa.concat_tables([t.select(["acct", "seq", "amount"]) for t in tables])
+        return t.sort_by([("acct", "ascending"), ("seq", "ascending")]).to_pylist()
+
+    fresh = CDCEngine(table, spec=spec, num_partitions=P)
+    assert fresh.salt_map == {str(HOT): P}
+    assert fresh.snapshot_arrow().to_pylist() == oracle(log)
+    LakeWriter.from_engine(fresh).append(ray.data.from_arrow(extra))
+    r = fresh.fsck()
+    assert r["ok"], r["issues"]
+    assert fresh.snapshot_arrow().to_pylist() == oracle(log, extra)
